@@ -29,12 +29,20 @@ from .density import (
     quantiles,
     write_density_csv,
 )
-from .edges import compute_edges
+from .edges import InconsistentClassificationError, compute_edges
 from .lemmas import entrywise_real_part_violations, quad_stability_violations
 from .mde import SingularAError, WignerSquareUnsupportedError, solve_m_delta, stability_spectrum
 from .model import SpecError, classify_polynomial, load_spec, spec_hash_payload
 from .scalar import NoConvergenceError, solve_m
-from .sim import DISTRIBUTIONS, GAUSSIAN_COMPLEX, EnsembleConfig, simulate_run
+from .sim import (
+    DISTRIBUTIONS,
+    GAUSSIAN_COMPLEX,
+    AsymmetryBlowupError,
+    EnsembleConfig,
+    SimulationError,
+    simulate_run,
+    trial_workers,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -42,6 +50,7 @@ EXIT_INFRA = 3
 EXIT_CRITERIA = 4
 
 SUITES = ("density", "norm", "deloc", "rigidity", "stability", "lemmas")
+SIMULATION_SUITES = ("density", "norm", "deloc", "rigidity")
 
 KS_THRESHOLD = 0.05
 NORM_SLOPE_RANGE = (-0.85, -0.50)
@@ -298,13 +307,16 @@ def run_suite_stability(spec, seed) -> ComparisonReport:
     return report
 
 
-def _append_run_record(store_path: str, command: str, spec_hash: str | None, config: dict, summary: dict):
+def _append_run_record(
+    store_path: str, command: str, spec_hash: str | None, config: dict, summary: dict, **extra
+):
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "spec_hash": spec_hash,
         "command": command,
         "config": config,
         "summary": summary,
+        **extra,
     }
     with open(store_path, "a") as fh:
         fh.write(json.dumps(record, sort_keys=True, default=_json_default) + "\n")
@@ -318,6 +330,16 @@ def _parse_n_list(text: str) -> list[int]:
     if not values:
         raise argparse.ArgumentTypeError("empty N list")
     return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _default_threads() -> int:
@@ -352,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--N", type=_parse_n_list, default=[1024], help="comma-separated dimensions")
     p_verify.add_argument("--trials", type=int, default=20)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--threads", type=int, default=_default_threads())
+    p_verify.add_argument(
+        "--threads", type=_positive_int, default=_default_threads(), help="cap on concurrent trials"
+    )
     p_verify.add_argument("--eta", type=float, default=None)
     p_verify.add_argument("--dist", choices=DISTRIBUTIONS, default=GAUSSIAN_COMPLEX)
     p_verify.add_argument("--n-grid", type=int, default=512)
@@ -456,6 +480,8 @@ def cmd_verify(args) -> int:
         spec_hash=report.spec_hash,
         config=report.config | {"seed": args.seed},
         summary={"pass_flags": report.pass_flags},
+        threads=args.threads,
+        trial_workers=trial_workers(args.threads, args.trials) if suite in SIMULATION_SUITES else None,
     )
     return EXIT_OK if report.passed else EXIT_CRITERIA
 
@@ -469,7 +495,15 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args)
         return cmd_verify(args)
-    except (NoConvergenceError, SingularAError, WignerSquareUnsupportedError, MassDeficitError) as exc:
+    except (
+        NoConvergenceError,
+        SingularAError,
+        WignerSquareUnsupportedError,
+        MassDeficitError,
+        SimulationError,
+        AsymmetryBlowupError,
+        InconsistentClassificationError,
+    ) as exc:
         sys.stderr.write(f"infrastructure error: {exc}\n")
         return EXIT_INFRA
     except (SpecError, json.JSONDecodeError, ValueError) as exc:

@@ -9,6 +9,7 @@ with results merged in trial-index order.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,10 +24,11 @@ DISTRIBUTIONS = (GAUSSIAN_COMPLEX, GAUSSIAN_REAL, RADEMACHER)
 
 ASYMMETRY_RTOL = 1e-10
 EDGE_NEIGHBORS = 8
+TILE = 128  # transposes go tile by tile so both sides stay in cache
 
 
 class AsymmetryBlowupError(RuntimeError):
-    """Assembled polynomial drifted from Hermitian beyond the roundoff budget."""
+    """An input matrix is not Hermitian within the roundoff budget."""
 
 
 class SimulationError(RuntimeError):
@@ -84,9 +86,6 @@ class SimulationResult:
     def __post_init__(self):
         self.pooled = np.sort(np.concatenate(self.eigenvalues)) if self.eigenvalues else np.array([])
 
-    def empirical_cdf(self, x) -> np.ndarray:
-        return np.searchsorted(self.pooled, x, side="right") / len(self.pooled)
-
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent generator for one trial, keyed by (seed, trial index)."""
@@ -95,7 +94,10 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 def _atoms(rng: np.random.Generator, dist: str, n: int):
     if dist == GAUSSIAN_COMPLEX:
-        off = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        re = rng.standard_normal((n, n))
+        off = 1j * rng.standard_normal((n, n))
+        off += re
+        off /= np.sqrt(2.0)  # in place: the same values as (re + 1j * im) / sqrt(2)
         diag = rng.standard_normal(n)
     elif dist == GAUSSIAN_REAL:
         off = rng.standard_normal((n, n))
@@ -106,21 +108,51 @@ def _atoms(rng: np.random.Generator, dist: str, n: int):
     return off, diag
 
 
+def _tile_pairs(n: int):
+    """Row and column slices of the TILE-sized blocks on and above the diagonal."""
+    for i in range(0, n, TILE):
+        for j in range(i, n, TILE):
+            yield slice(i, i + TILE), slice(j, j + TILE)
+
+
 def sample_wigner(n: int, dist: str, rng: np.random.Generator) -> np.ndarray:
     """Hermitian Wigner matrix with i.i.d. upper-triangular entries of variance 1/n."""
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {dist!r}")
     off, diag = _atoms(rng, dist, n)
-    upper = np.triu(off, 1)
-    w = upper + upper.conj().T + np.diag(diag.astype(complex))
-    return w / np.sqrt(n)
+    scale = np.sqrt(n)
+    # complex division, as in (U + U^H + D) / sqrt(n), keeps every entry bit for bit
+    w = off.astype(complex, copy=False)
+    w /= scale
+    for I, J in _tile_pairs(n):
+        if I == J:
+            upper = np.triu(w[I, I], 1)
+            w[I, I] = upper + upper.conj().T
+        else:  # + 0.0 gives real laws the +0 imaginary parts that U + U^H has
+            w[J, I] = w[I, J].conj().T + 0.0
+    w[np.diag_indices(n)] = diag.astype(complex) / scale
+    return w
+
+
+def check_hermitian(X) -> None:
+    """Raise AsymmetryBlowupError unless each X_i has ||X - X^H|| <= ASYMMETRY_RTOL ||X||."""
+    for x in X:
+        sq = 0.0
+        for I, J in _tile_pairs(x.shape[0]):
+            d = x[I, J] - x[J, I].conj().T
+            sq += (1.0 if I == J else 2.0) * np.vdot(d, d).real
+        asym = np.sqrt(sq)
+        if asym > ASYMMETRY_RTOL * max(np.linalg.norm(x), 1e-300):
+            raise AsymmetryBlowupError(f"non-Hermitian input part {asym:.3e} exceeds budget")
 
 
 def assemble_polynomial(spec: PolynomialSpec, X) -> np.ndarray:
-    """Q = sum_ij X_i A_ij X_j + sum_i b_i X_i + c I, symmetrized once at the end.
+    """Q = sum_ij X_i A_ij X_j + sum_i b_i X_i + c I, built as R + R^H.
 
-    A non-Hermitian part beyond 1e-10 ||Q|| indicates broken inputs and raises
-    AsymmetryBlowupError before the symmetrization would hide it.
+    R = sum_i X_i (A_ii/2 X_i + sum_{j>i} A_ij X_j) + (sum_i b_i X_i + c I)/2,
+    so each row of A costs one product (none when its coefficients vanish)
+    and Q is exactly Hermitian.  Non-Hermitian inputs raise
+    AsymmetryBlowupError.
     """
     X = [np.asarray(x) for x in X]
     n = X[0].shape[0]
@@ -128,17 +160,20 @@ def assemble_polynomial(spec: PolynomialSpec, X) -> np.ndarray:
         raise ValueError("all matrices must share one dimension")
     if len(X) != spec.l:
         raise ValueError(f"expected {spec.l} matrices, got {len(X)}")
-    stacked = np.stack(X)
-    mixed = np.tensordot(spec.A, stacked, axes=(1, 0))  # mixed_i = sum_j A_ij X_j
-    Q = np.zeros((n, n), dtype=complex)
+    check_hermitian(X)
+    R = np.eye(n, dtype=complex) * (0.5 * spec.c)
     for i in range(spec.l):
-        Q += X[i] @ mixed[i]
-        Q += spec.b[i] * X[i]
-    Q += spec.c * np.eye(n)
-    asym = np.linalg.norm(Q - Q.conj().T)
-    if asym > ASYMMETRY_RTOL * max(np.linalg.norm(Q), 1e-300):
-        raise AsymmetryBlowupError(f"non-Hermitian part {asym:.3e} exceeds budget")
-    return 0.5 * (Q + Q.conj().T)
+        if spec.b[i] != 0:
+            R += (0.5 * spec.b[i]) * X[i]
+        row = [(0.5 if j == i else 1.0) * spec.A[i, j] for j in range(spec.l)]
+        terms = [row[j] * X[j] for j in range(i, spec.l) if row[j] != 0]
+        if terms:
+            R += X[i] @ sum(terms[1:], terms[0])
+    for I, J in _tile_pairs(n):  # R + R^H
+        herm = R[I, J] + R[J, I].conj().T
+        R[I, J] = herm
+        R[J, I] = herm.conj().T
+    return R
 
 
 def spectrum(Q: np.ndarray, vectors: bool = False):
@@ -219,16 +254,42 @@ def build_generalized_resolvent(spec: PolynomialSpec, X, z: complex, delta: floa
     return out
 
 
+def trial_workers(threads: int, trials: int) -> int:
+    """Number of trials run at once: at most ``threads`` and ``trials``, and no
+    more than the cores this process may use divided by the threads each BLAS
+    call takes (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else every
+    core, as OpenBLAS itself defaults), so trial threads do not oversubscribe
+    the cores BLAS already uses."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        blas_threads = max(1, int(os.environ.get("OPENBLAS_NUM_THREADS") or os.environ["OMP_NUM_THREADS"]))
+    except (KeyError, ValueError):
+        blas_threads = cores
+    return max(1, min(threads, trials, cores // blas_threads))
+
+
+def _eigenpairs(Q: np.ndarray, vectors: bool):
+    return spectrum(Q, vectors=True) if vectors else (spectrum(Q), None)
+
+
+def _mapped_spectrum(spec: PolynomialSpec, x: np.ndarray, vectors: bool):
+    """Spectrum of q(x) = a x^2 + b x + c for l = 1 from the spectrum of x itself."""
+    check_hermitian([x])
+    a, b, c = spec.A[0, 0].real, spec.b[0], spec.c
+    lam, vecs = _eigenpairs(x, vectors)
+    mapped = a * lam**2 + b * lam + c
+    order = np.argsort(mapped)
+    return mapped[order], (vecs[:, order] if vectors else None)
+
+
 def _run_trial(spec: PolynomialSpec, cfg: EnsembleConfig, probes, edge_targets, index: int):
     rng = trial_rng(cfg.seed, index)
     X = [sample_wigner(cfg.N, cfg.dist, rng) for _ in range(spec.l)]
-    Q = assemble_polynomial(spec, X)
     want_vectors = len(edge_targets) > 0
-    if want_vectors:
-        eigenvalues, vecs = spectrum(Q, vectors=True)
+    if spec.l == 1:
+        eigenvalues, vecs = _mapped_spectrum(spec, X[0], want_vectors)
     else:
-        eigenvalues = spectrum(Q)
-        vecs = None
+        eigenvalues, vecs = _eigenpairs(assemble_polynomial(spec, X), want_vectors)
     per_edge: list[list[EdgeVectorStat]] = []
     for target in edge_targets:
         order = np.argsort(np.abs(eigenvalues - target))[:EDGE_NEIGHBORS]
@@ -254,9 +315,10 @@ def simulate_run(
     """Run independent trials and collect eigenvalues, norms and probe statistics.
 
     One RNG stream per trial is derived from (seed, trial index), so the
-    result is identical however the trials are scheduled.  Eigenvectors are
-    computed only when ``edge_targets`` is nonempty, and only the 8 eigenpairs
-    nearest each target are kept.
+    result is identical however the trials are scheduled.  ``threads`` caps
+    the concurrent trials; ``trial_workers`` sets how many run.  Eigenvectors
+    are computed only when ``edge_targets`` is nonempty, and only the 8
+    eigenpairs nearest each target are kept.
     """
     probes = tuple(complex(z) for z in probes)
     edge_targets = tuple(float(t) for t in edge_targets)
@@ -270,8 +332,9 @@ def simulate_run(
         except Exception as exc:  # aggregated below with trial indices
             return i, None, exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = trial_workers(threads, cfg.trials)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(runner, indices))
     else:
         outcomes = [runner(i) for i in indices]
@@ -292,20 +355,3 @@ def simulate_run(
         edge_vectors=[r[2] for r in ordered],
         resolvent_traces=[r[3] for r in ordered],
     )
-
-
-def dump_trial_csv(result: SimulationResult, directory) -> list[str]:
-    """One CSV per trial (single ``lambda`` column); returns the written paths."""
-    from pathlib import Path
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, eigs in enumerate(result.eigenvalues):
-        path = directory / f"trial_{i}.csv"
-        with open(path, "w") as fh:
-            fh.write("lambda\n")
-            for lam in eigs:
-                fh.write(f"{lam:.17g}\n")
-        paths.append(str(path))
-    return paths

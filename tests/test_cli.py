@@ -242,3 +242,61 @@ def test_spec_hash_in_report_stable_under_reordering(tmp_path):
     from quadspec.model import load_spec
 
     assert spec_digest(load_spec(a)) == spec_digest(load_spec(b))
+
+
+@pytest.mark.parametrize(
+    "attr, error",
+    [
+        ("simulate_run", "simulation"),
+        ("simulate_run", "asymmetry"),
+        ("compute_edges", "classification"),
+    ],
+)
+def test_verify_simulation_errors_are_infra(attr, error, wsq_file, tmp_path, monkeypatch, capsys):
+    import quadspec.cli as cli_module
+    from quadspec.edges import InconsistentClassificationError
+    from quadspec.sim import AsymmetryBlowupError, SimulationError
+
+    exc = {
+        "simulation": SimulationError([(1, RuntimeError("boom"))]),
+        "asymmetry": AsymmetryBlowupError("non-Hermitian input"),
+        "classification": InconsistentClassificationError("scan disagrees"),
+    }[error]
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_module, attr, broken)
+    code = main(
+        ["verify", "--suite", "norm", "--spec", wsq_file, "--N", "16,32,64", "--trials", "2",
+         "--out", str(tmp_path / "e")]
+    )
+    assert code == EXIT_INFRA
+    assert capsys.readouterr().err.startswith("infrastructure error:")
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_verify_rejects_threads_below_one(value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "lemmas", "--threads", value, "--out", str(tmp_path / "t")])
+    assert excinfo.value.code == EXIT_INPUT
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_verify_report_independent_of_threads(anti_file, tmp_path):
+    from quadspec.sim import trial_workers
+
+    reports = []
+    for threads in (1, 2):
+        prefix = str(tmp_path / f"t{threads}")
+        code = main(
+            ["verify", "--suite", "density", "--spec", anti_file, "--N", "512", "--trials", "2",
+             "--seed", "3", "--threads", str(threads), "--out", prefix]
+        )
+        assert code in (EXIT_OK, EXIT_CRITERIA)
+        reports.append(open(prefix + "_report.json", "rb").read())
+        record = json.loads(open(prefix + "_runs.jsonl").read())
+        assert record["threads"] == threads
+        assert record["trial_workers"] == trial_workers(threads, 2)
+        assert "threads" not in json.loads(reports[-1])["config"]
+    assert reports[0] == reports[1]

@@ -17,10 +17,14 @@ from quadspec import (
 from quadspec.sim import (
     DISTRIBUTIONS,
     GAUSSIAN_COMPLEX,
+    GAUSSIAN_REAL,
     RADEMACHER,
+    AsymmetryBlowupError,
     SimulationError,
+    _run_trial,
     generalized_resolvent_blocks,
     trial_rng,
+    trial_workers,
 )
 
 
@@ -212,35 +216,31 @@ def test_simulate_run_edge_vectors(wigner_square_spec):
             assert 0.0 < s.max_component_sq <= 1.0
 
 
-def test_simulate_run_aggregates_failures(monkeypatch, wigner_square_spec):
+def _assert_trial_1_reported(monkeypatch, spec):
     import quadspec.sim as sim_module
 
-    original = sim_module.assemble_polynomial
+    original = sim_module.spectrum
     calls = {"n": 0}
 
-    def flaky(spec, X):
+    def flaky(Q, vectors=False):
         calls["n"] += 1
         if calls["n"] == 2:
             raise RuntimeError("boom")
-        return original(spec, X)
+        return original(Q, vectors)
 
-    monkeypatch.setattr(sim_module, "assemble_polynomial", flaky)
+    monkeypatch.setattr(sim_module, "spectrum", flaky)
     cfg = EnsembleConfig(N=32, dist=GAUSSIAN_COMPLEX, seed=5, trials=3)
     with pytest.raises(SimulationError) as excinfo:
-        simulate_run(wigner_square_spec, cfg)
+        simulate_run(spec, cfg)
     assert excinfo.value.failures[0][0] == 1
 
 
-def test_dump_trial_csv(tmp_path, wigner_square_spec):
-    from quadspec.sim import dump_trial_csv
+def test_simulate_run_aggregates_failures(monkeypatch, wigner_square_spec):
+    _assert_trial_1_reported(monkeypatch, wigner_square_spec)
 
-    cfg = EnsembleConfig(N=32, dist=GAUSSIAN_COMPLEX, seed=6, trials=2)
-    result = simulate_run(wigner_square_spec, cfg)
-    paths = dump_trial_csv(result, tmp_path)
-    assert len(paths) == 2
-    lines = open(paths[0]).read().splitlines()
-    assert lines[0] == "lambda"
-    assert len(lines) == 33
+
+def test_simulate_run_aggregates_failures_two_matrices(monkeypatch, anticommutator_spec):
+    _assert_trial_1_reported(monkeypatch, anticommutator_spec)
 
 
 def test_ensemble_config_validation():
@@ -250,3 +250,134 @@ def test_ensemble_config_validation():
         EnsembleConfig(N=16, dist="cauchy")
     with pytest.raises(ValueError):
         EnsembleConfig(N=16, trials=0)
+
+
+# Reference implementations the trial path is pinned to: the three-line
+# sampler and the dense assembly symmetrized once at the end.
+
+
+def _oracle_atoms(rng, dist, n):
+    if dist == GAUSSIAN_COMPLEX:
+        off = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        diag = rng.standard_normal(n)
+    elif dist == GAUSSIAN_REAL:
+        off = rng.standard_normal((n, n))
+        diag = rng.standard_normal(n)
+    else:
+        off = 2.0 * rng.integers(0, 2, size=(n, n)).astype(float) - 1.0
+        diag = 2.0 * rng.integers(0, 2, size=n).astype(float) - 1.0
+    return off, diag
+
+
+def _oracle_sample_wigner(n, dist, rng):
+    off, diag = _oracle_atoms(rng, dist, n)
+    upper = np.triu(off, 1)
+    return (upper + upper.conj().T + np.diag(diag.astype(complex))) / np.sqrt(n)
+
+
+def _oracle_assemble(spec, X):
+    n = X[0].shape[0]
+    mixed = np.tensordot(spec.A, np.stack(X), axes=(1, 0))
+    Q = np.zeros((n, n), dtype=complex)
+    for i in range(spec.l):
+        Q += X[i] @ mixed[i] + spec.b[i] * X[i]
+    Q += spec.c * np.eye(n)
+    return 0.5 * (Q + Q.conj().T)
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_sample_matches_oracle_bitwise(dist):
+    for n in (2, 65, 300):  # 300 spans several tiles and a partial one
+        new = sample_wigner(n, dist, trial_rng(11, n))
+        ref = _oracle_sample_wigner(n, dist, trial_rng(11, n))
+        assert new.dtype == ref.dtype
+        assert np.array_equal(new.view(np.uint64), ref.view(np.uint64))
+
+
+def _generic_l3_spec():
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return validate_spec(3, g + g.conj().T, rng.standard_normal(3), 0.7)
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [
+        lambda: validate_spec(1, [[1.0]], [0.0], 0.0),  # X^2
+        lambda: validate_spec(1, [[1.0]], [-2.0], 1.0),  # (X - 1)^2
+        lambda: validate_spec(1, [[-0.7]], [1.3], 0.2),  # a < 0, b != 0
+        lambda: validate_spec(2, [[0, 1], [1, 0]], [0, 0], 0.0),  # X1 X2 + X2 X1
+        _generic_l3_spec,
+    ],
+    ids=["square", "shifted-square", "negative-a", "anticommutator", "generic-complex-l3"],
+)
+def test_trial_eigenvalues_match_dense_assembly(make_spec):
+    spec = make_spec()
+    cfg = EnsembleConfig(N=200, dist=GAUSSIAN_COMPLEX, seed=13, trials=1)
+    eigenvalues, norm, _, _ = _run_trial(spec, cfg, (), (), 0)
+    rng = trial_rng(cfg.seed, 0)
+    X = [_oracle_sample_wigner(cfg.N, cfg.dist, rng) for _ in range(spec.l)]
+    ref = np.linalg.eigvalsh(_oracle_assemble(spec, X))
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(eigenvalues - ref)) <= 1e-12 * scale
+    assert norm == pytest.approx(scale, rel=1e-12)
+
+    # edge eigenvector statistics: columns follow their (re-sorted) eigenvalues
+    ref_vals, ref_vecs = np.linalg.eigh(_oracle_assemble(spec, X))
+    target = ref_vals[-1]
+    _, _, (stats,), _ = _run_trial(spec, cfg, (), (target,), 0)
+    order = np.argsort(np.abs(ref_vals - target))[:8]
+    for stat, k in zip(stats, order):
+        assert stat.eigenvalue == pytest.approx(ref_vals[k], abs=1e-12 * scale)
+        assert stat.max_component_sq == pytest.approx(np.max(np.abs(ref_vecs[:, k]) ** 2), rel=1e-6)
+
+
+def test_assemble_matches_dense_assembly():
+    spec = _generic_l3_spec()
+    rng = trial_rng(14, 0)
+    X = [sample_wigner(300, GAUSSIAN_COMPLEX, rng) for _ in range(3)]
+    q = assemble_polynomial(spec, X)
+    ref = _oracle_assemble(spec, X)
+    assert np.array_equal(q, q.conj().T)
+    assert np.linalg.norm(q - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("spec_name", ["wigner_square_spec", "anticommutator_spec"])
+def test_simulate_run_thread_independent_above_blas_threshold(spec_name, request):
+    spec = request.getfixturevalue(spec_name)
+    cfg = EnsembleConfig(N=512, dist=GAUSSIAN_COMPLEX, seed=15, trials=3)
+    serial = simulate_run(spec, cfg, threads=1)
+    pooled = simulate_run(spec, cfg, threads=2)
+    for a, b in zip(serial.eigenvalues, pooled.eigenvalues):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_non_hermitian_input_raises_for_two_matrices(anticommutator_spec, monkeypatch):
+    import quadspec.sim as sim_module
+
+    x = sample_wigner(16, GAUSSIAN_COMPLEX, trial_rng(16, 0))
+    with pytest.raises(AsymmetryBlowupError):
+        assemble_polynomial(anticommutator_spec, [x, np.triu(np.ones((16, 16)))])
+
+    # the l = 1 trial path checks its input the same way
+    monkeypatch.setattr(sim_module, "sample_wigner", lambda n, dist, rng: np.triu(np.ones((n, n))))
+    with pytest.raises(SimulationError) as excinfo:
+        simulate_run(validate_spec(1, [[1.0]], [0.0], 0.0), EnsembleConfig(N=8, trials=1))
+    assert isinstance(excinfo.value.failures[0][1], AsymmetryBlowupError)
+
+
+def test_trial_workers_respect_blas_threads(monkeypatch):
+    import quadspec.sim as sim_module
+
+    monkeypatch.setattr(sim_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert trial_workers(8, 8) == 1  # OpenBLAS takes every core by default
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert trial_workers(8, 8) == 4
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert trial_workers(8, 8) == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert trial_workers(8, 3) == 3
+    assert trial_workers(2, 8) == 2
+    assert trial_workers(0, 8) == 1
