@@ -329,7 +329,18 @@ def _parse_n_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad N list {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("empty N list")
+    if min(values) < 2:
+        raise argparse.ArgumentTypeError(f"every N must be at least 2, got {text!r}")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"N values must be distinct, got {text!r}")
     return values
+
+
+def _check_out_prefix(prefix: str) -> None:
+    """Reject an output prefix whose directory does not exist, before any compute."""
+    directory = os.path.dirname(prefix) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"output directory {directory!r} does not exist")
 
 
 def _positive_int(text: str) -> int:
@@ -391,6 +402,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _check_out_prefix(args.out)
     spec = load_spec(args.spec)
     classification, edges, curve = _analysis(spec, args.n_grid)
     exponents = {}
@@ -447,6 +459,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_out_prefix(args.out)
     suite = args.suite
     spec = None
     if suite != "lemmas":

@@ -178,17 +178,21 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
 
 def _parse_entry(entry) -> complex:
     if isinstance(entry, dict):
-        return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        try:
+            return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatchError(f"coefficient entry {entry!r} has a non-numeric part") from exc
     if isinstance(entry, (int, float)):
         return complex(entry)
-    raise DimensionMismatchError(f"matrix entry {entry!r} is neither a number nor {{re, im}}")
+    raise DimensionMismatchError(f"coefficient entry {entry!r} is neither a number nor {{re, im}}")
 
 
 def load_spec(source) -> PolynomialSpec:
     """Load a polynomial spec from a JSON file, JSON string or parsed dict.
 
     Expected layout: ``{"l": 2, "A": [[{"re": 0, "im": 0}, ...], ...],
-    "b": [0, 0], "c": 0}`` with complex entries as ``{re, im}`` objects.
+    "b": [0, 0], "c": 0}`` with complex entries as ``{re, im}`` objects; ``b``
+    takes plain numbers or ``{re, im}`` objects with a zero imaginary part.
     """
     if isinstance(source, (str, Path)):
         p = Path(source)
@@ -214,7 +218,9 @@ def load_spec(source) -> PolynomialSpec:
     A = [[_parse_entry(entry) for entry in row] for row in raw_a]
     if len(A) != l or any(len(row) != l for row in A):
         raise DimensionMismatchError("A rows do not match l")
-    return validate_spec(l, A, raw_b, c)
+    if not isinstance(raw_b, list):
+        raise DimensionMismatchError("b must be a list")
+    return validate_spec(l, A, [_parse_entry(entry) for entry in raw_b], c)
 
 
 def spec_hash_payload(spec: PolynomialSpec) -> str:

@@ -116,21 +116,25 @@ def _tile_pairs(n: int):
 
 
 def sample_wigner(n: int, dist: str, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian Wigner matrix with i.i.d. upper-triangular entries of variance 1/n."""
+    """Hermitian Wigner matrix with i.i.d. upper-triangular entries of variance 1/n.
+
+    Real laws give a real symmetric float64 matrix, the complex Gaussian law a
+    complex128 one.
+    """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {dist!r}")
-    off, diag = _atoms(rng, dist, n)
-    scale = np.sqrt(n)
-    # complex division, as in (U + U^H + D) / sqrt(n), keeps every entry bit for bit
-    w = off.astype(complex, copy=False)
-    w /= scale
+    w, diag = _atoms(rng, dist, n)
+    # numpy divides a complex z by a real s as z * (1/s), so multiplying keeps every
+    # entry of (U + U^H + D) / sqrt(n) bit for bit; plain real division would not
+    inv_scale = 1.0 / np.sqrt(n)
+    w *= inv_scale
     for I, J in _tile_pairs(n):
         if I == J:
             upper = np.triu(w[I, I], 1)
             w[I, I] = upper + upper.conj().T
-        else:  # + 0.0 gives real laws the +0 imaginary parts that U + U^H has
-            w[J, I] = w[I, J].conj().T + 0.0
-    w[np.diag_indices(n)] = diag.astype(complex) / scale
+        else:
+            w[J, I] = w[I, J].conj().T
+    w[np.diag_indices(n)] = diag * inv_scale
     return w
 
 
@@ -151,8 +155,8 @@ def assemble_polynomial(spec: PolynomialSpec, X) -> np.ndarray:
 
     R = sum_i X_i (A_ii/2 X_i + sum_{j>i} A_ij X_j) + (sum_i b_i X_i + c I)/2,
     so each row of A costs one product (none when its coefficients vanish)
-    and Q is exactly Hermitian.  Non-Hermitian inputs raise
-    AsymmetryBlowupError.
+    and Q is exactly Hermitian.  Q is real when A and every X_i are real.
+    Non-Hermitian inputs raise AsymmetryBlowupError.
     """
     X = [np.asarray(x) for x in X]
     n = X[0].shape[0]
@@ -161,11 +165,12 @@ def assemble_polynomial(spec: PolynomialSpec, X) -> np.ndarray:
     if len(X) != spec.l:
         raise ValueError(f"expected {spec.l} matrices, got {len(X)}")
     check_hermitian(X)
-    R = np.eye(n, dtype=complex) * (0.5 * spec.c)
+    A = spec.A if np.any(spec.A.imag) else spec.A.real
+    R = np.eye(n, dtype=np.result_type(A, *X)) * (0.5 * spec.c)
     for i in range(spec.l):
         if spec.b[i] != 0:
             R += (0.5 * spec.b[i]) * X[i]
-        row = [(0.5 if j == i else 1.0) * spec.A[i, j] for j in range(spec.l)]
+        row = [(0.5 if j == i else 1.0) * A[i, j] for j in range(spec.l)]
         terms = [row[j] * X[j] for j in range(i, spec.l) if row[j] != 0]
         if terms:
             R += X[i] @ sum(terms[1:], terms[0])

@@ -71,6 +71,29 @@ def test_classify_invalid_spec(tmp_path, capsys):
     assert main(["classify", "--spec", str(zero)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "b, error",
+    [
+        ([0], None),
+        ([{"re": 0, "im": 0}], None),
+        ([{"re": 0, "im": 1}], "b must be real"),
+        ([{"re": [0], "im": 0}], "coefficient entry"),
+    ],
+    ids=["plain", "re-im", "complex", "non-numeric"],
+)
+def test_classify_b_entries(b, error, tmp_path, capsys):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"l": 1, "A": [[{"re": 1, "im": 0}]], "b": b, "c": 0}))
+    code = main(["classify", "--spec", str(path)])
+    captured = capsys.readouterr()
+    if error is None:
+        assert code == EXIT_OK
+        assert json.loads(captured.out)["kind"] == "WignerSquare"
+    else:
+        assert code == EXIT_INPUT
+        assert captured.err.startswith(f"input error: {error}")
+
+
 def test_analyze_squared_wigner(wsq_file, tmp_path, capsys):
     prefix = str(tmp_path / "wsq")
     assert main(["analyze", "--spec", wsq_file, "--out", prefix]) == EXIT_OK
@@ -153,6 +176,31 @@ def test_verify_norm_needs_three_sizes(wsq_file, tmp_path):
          "--out", str(tmp_path / "n")]
     )
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("n_list", ["64,64,64", "1,64,128"])
+def test_verify_rejects_bad_n_list(n_list, wsq_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "norm", "--spec", wsq_file, "--N", n_list, "--out", str(tmp_path / "n")])
+    assert excinfo.value.code == EXIT_INPUT
+    assert "--N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, compute",
+    [(["verify", "--suite", "lemmas"], "run_suite_lemmas"), (["analyze"], "_analysis")],
+    ids=["verify", "analyze"],
+)
+def test_missing_output_directory_fails_before_compute(argv, compute, wsq_file, tmp_path, monkeypatch, capsys):
+    import quadspec.cli as cli_module
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{compute} ran before the output directory was checked")
+
+    monkeypatch.setattr(cli_module, compute, must_not_run)
+    code = main(argv + ["--spec", wsq_file, "--out", str(tmp_path / "nodir" / "x")])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: output directory")
 
 
 def test_verify_density_small(anti_file, tmp_path, capsys):

@@ -290,7 +290,12 @@ def test_sample_matches_oracle_bitwise(dist):
     for n in (2, 65, 300):  # 300 spans several tiles and a partial one
         new = sample_wigner(n, dist, trial_rng(11, n))
         ref = _oracle_sample_wigner(n, dist, trial_rng(11, n))
-        assert new.dtype == ref.dtype
+        if dist == GAUSSIAN_COMPLEX:
+            assert new.dtype == ref.dtype
+        else:  # real laws stay real: the oracle's imaginary part is zero
+            assert new.dtype == np.float64
+            assert not np.any(ref.imag)
+            ref = np.ascontiguousarray(ref.real)
         assert np.array_equal(new.view(np.uint64), ref.view(np.uint64))
 
 
@@ -300,23 +305,33 @@ def _generic_l3_spec():
     return validate_spec(3, g + g.conj().T, rng.standard_normal(3), 0.7)
 
 
+_DENSE_CASES = [
+    ("square", lambda: validate_spec(1, [[1.0]], [0.0], 0.0)),  # X^2
+    ("shifted-square", lambda: validate_spec(1, [[1.0]], [-2.0], 1.0)),  # (X - 1)^2
+    ("negative-a", lambda: validate_spec(1, [[-0.7]], [1.3], 0.2)),  # a < 0, b != 0
+    ("anticommutator", lambda: validate_spec(2, [[0, 1], [1, 0]], [0, 0], 0.0)),  # X1 X2 + X2 X1
+    ("generic-complex-l3", _generic_l3_spec),
+]
+
+
 @pytest.mark.parametrize(
-    "make_spec",
+    "make_spec, dist",
     [
-        lambda: validate_spec(1, [[1.0]], [0.0], 0.0),  # X^2
-        lambda: validate_spec(1, [[1.0]], [-2.0], 1.0),  # (X - 1)^2
-        lambda: validate_spec(1, [[-0.7]], [1.3], 0.2),  # a < 0, b != 0
-        lambda: validate_spec(2, [[0, 1], [1, 0]], [0, 0], 0.0),  # X1 X2 + X2 X1
-        _generic_l3_spec,
+        pytest.param(make, dist, id=name if dist == GAUSSIAN_COMPLEX else f"{name}-{dist}")
+        for dist in DISTRIBUTIONS
+        for name, make in _DENSE_CASES
     ],
-    ids=["square", "shifted-square", "negative-a", "anticommutator", "generic-complex-l3"],
 )
-def test_trial_eigenvalues_match_dense_assembly(make_spec):
+def test_trial_eigenvalues_match_dense_assembly(make_spec, dist):
     spec = make_spec()
-    cfg = EnsembleConfig(N=200, dist=GAUSSIAN_COMPLEX, seed=13, trials=1)
+    cfg = EnsembleConfig(N=200, dist=dist, seed=13, trials=1)
     eigenvalues, norm, _, _ = _run_trial(spec, cfg, (), (), 0)
     rng = trial_rng(cfg.seed, 0)
     X = [_oracle_sample_wigner(cfg.N, cfg.dist, rng) for _ in range(spec.l)]
+    if spec.l > 1:  # Q is complex exactly when A or the law is
+        rng = trial_rng(cfg.seed, 0)
+        q = assemble_polynomial(spec, [sample_wigner(cfg.N, dist, rng) for _ in range(spec.l)])
+        assert np.iscomplexobj(q) == (dist == GAUSSIAN_COMPLEX or bool(np.any(spec.A.imag)))
     ref = np.linalg.eigvalsh(_oracle_assemble(spec, X))
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(eigenvalues - ref)) <= 1e-12 * scale
@@ -342,10 +357,18 @@ def test_assemble_matches_dense_assembly():
     assert np.linalg.norm(q - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("spec_name", ["wigner_square_spec", "anticommutator_spec"])
-def test_simulate_run_thread_independent_above_blas_threshold(spec_name, request):
+@pytest.mark.parametrize(
+    "spec_name, dist",
+    [
+        ("wigner_square_spec", GAUSSIAN_COMPLEX),
+        ("anticommutator_spec", GAUSSIAN_COMPLEX),
+        ("anticommutator_spec", RADEMACHER),
+    ],
+    ids=["wigner_square_spec", "anticommutator_spec", "anticommutator_spec-rademacher"],
+)
+def test_simulate_run_thread_independent_above_blas_threshold(spec_name, dist, request):
     spec = request.getfixturevalue(spec_name)
-    cfg = EnsembleConfig(N=512, dist=GAUSSIAN_COMPLEX, seed=15, trials=3)
+    cfg = EnsembleConfig(N=512, dist=dist, seed=15, trials=3)
     serial = simulate_run(spec, cfg, threads=1)
     pooled = simulate_run(spec, cfg, threads=2)
     for a, b in zip(serial.eigenvalues, pooled.eigenvalues):
