@@ -19,15 +19,13 @@ from .model import (
     reducible_spec,
     validate_spec,
 )
-from .scalar import PoleSet, StieltjesPoint, evaluate_gamma_h, poles, solve_m
+from .scalar import PoleSet, StieltjesPoint, poles, solve_m
 from .edges import (
     DirectionStats,
     EdgeReport,
-    RootVerdict,
     compute_edges,
     compute_s_a,
     find_edge_roots,
-    root_existence_conditions,
 )
 from .density import DensityCurve, compute_density, fit_edge_exponent, quantiles, write_density_csv
 from .mde import (
@@ -62,16 +60,13 @@ __all__ = [
     "reducible_spec",
     "StieltjesPoint",
     "PoleSet",
-    "evaluate_gamma_h",
     "poles",
     "solve_m",
     "EdgeReport",
     "DirectionStats",
-    "RootVerdict",
     "find_edge_roots",
     "compute_edges",
     "compute_s_a",
-    "root_existence_conditions",
     "DensityCurve",
     "compute_density",
     "quantiles",

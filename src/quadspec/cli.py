@@ -31,7 +31,7 @@ from .density import (
 )
 from .edges import InconsistentClassificationError, compute_edges
 from .lemmas import entrywise_real_part_violations, quad_stability_violations
-from .mde import SingularAError, WignerSquareUnsupportedError, solve_m_delta, stability_spectrum
+from .mde import SingularAError, WignerSquareUnsupportedError, a_is_singular, solve_m_delta, stability_spectrum
 from .model import SpecError, classify_polynomial, load_spec, spec_hash_payload
 from .scalar import NoConvergenceError, solve_m
 from .sim import (
@@ -261,7 +261,7 @@ def run_suite_stability(spec, seed) -> ComparisonReport:
     classification = classify_polynomial(spec)
     if classification.kind == "WignerSquare":
         raise WignerSquareUnsupportedError("the stability suite excludes shifted Wigner squares")
-    if np.min(np.abs(spec.eig_a)) < 1e-10 * spec.norm_a:
+    if a_is_singular(spec):
         raise SingularAError("the stability suite needs invertible A (Dyson-equation residuals)")
     edges = compute_edges(spec, classification)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(77,)))
@@ -353,6 +353,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
 def _default_threads() -> int:
     env = os.environ.get("QUADSPEC_THREADS")
     if env:
@@ -388,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--threads", type=_positive_int, default=_default_threads(), help="cap on concurrent trials"
     )
-    p_verify.add_argument("--eta", type=float, default=None)
+    p_verify.add_argument("--eta", type=_positive_float, default=None)
     p_verify.add_argument("--dist", choices=DISTRIBUTIONS, default=GAUSSIAN_COMPLEX)
     p_verify.add_argument("--n-grid", type=int, default=512)
     return parser

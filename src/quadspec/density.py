@@ -71,10 +71,6 @@ class DensityCurve:
     edge_meta: EdgeReport
     cdf: np.ndarray
 
-    @property
-    def grid_step(self) -> float:
-        return float(np.median(np.diff(self.energies)))
-
     def cdf_at(self, x) -> np.ndarray:
         """Mass of (-inf, x] by monotone piecewise-linear interpolation."""
         return np.interp(x, self.energies, self.cdf, left=0.0, right=self.mass)

@@ -26,7 +26,6 @@ SCAN_INNER = 1e-8
 SCAN_CAP = 1e8
 ROOT_RTOL = 1e-13
 THRESHOLD_RTOL = 1e-9
-RANK_RTOL = 1e-10
 ESCAPED_ROOT_FACTOR = 1e3
 
 
@@ -47,18 +46,6 @@ class DirectionStats:
     a_plus: float | None
     a_minus: float | None
     s: float
-
-
-@dataclass(frozen=True)
-class RootVerdict:
-    """Existence of a root of h on (m_*^+, 0); decay exponent p when absent.
-
-    ``h(m) ~ (-m)^{-p}`` as m -> -infinity with p in {3, 4, 5} in the no-root
-    cases.
-    """
-
-    root_exists: bool
-    decay_exponent: int | None = None
 
 
 @dataclass(frozen=True)
@@ -115,65 +102,17 @@ def compute_s_a(v) -> DirectionStats:
     return DirectionStats(sigma=sigma, mu=mu, a_plus=None, a_minus=None, s=sigma**-2)
 
 
-def root_existence_conditions(spec: PolynomialSpec) -> RootVerdict:
-    """Analytic root existence for h on (m_*^+, 0) from the raw coefficients.
-
-    h has no root there if and only if A is negative semi-definite of rank
-    one, b lies in the image of A_hat, and the linear part is at or below the
-    critical size: ||b|| <= 4 ||A|| for real A, or the r_pm-weighted variant
-    for genuinely complex A.  Threshold equalities are decided with relative
-    tolerance 1e-9 and sharpen the decay of h from (-m)^{-3} to (-m)^{-5}
-    (real) or (-m)^{-4} (complex).
-    """
-    svals = np.linalg.svd(spec.A, compute_uv=False)
-    rank_one = spec.l == 1 or svals[1] <= RANK_RTOL * svals[0]
-    if not rank_one:
-        return RootVerdict(root_exists=True)
-    alpha = float(spec.eig_a[int(np.argmax(np.abs(spec.eig_a)))])
-    if alpha > 0:
-        return RootVerdict(root_exists=True)
-
-    norm_a = spec.norm_a
-    hat_vals = spec.eig_a_hat
-    kernel = np.abs(hat_vals) <= RANK_RTOL * norm_a
-    kernel_weight = float(np.sum(spec.b_proj[kernel]))
-    image_tol = 1e-10 * (spec.norm_b + 1.0)
-    if kernel_weight > image_tol**2:
-        return RootVerdict(root_exists=True)
-
-    is_real = np.max(np.abs(spec.A.imag)) <= 1e-14 * norm_a
-    if is_real:
-        crit = 4.0 * norm_a
-        if spec.norm_b > crit * (1.0 + THRESHOLD_RTOL):
-            return RootVerdict(root_exists=True)
-        if abs(spec.norm_b - crit) <= THRESHOLD_RTOL * crit:
-            return RootVerdict(root_exists=False, decay_exponent=5)
-        return RootVerdict(root_exists=False, decay_exponent=3)
-
-    nz = ~kernel
-    mu_pm = hat_vals[nz]
-    w_pm = spec.b_proj[nz]
-    r_pm = -mu_pm / norm_a
-    weighted = float(np.sum(w_pm / r_pm**3))
-    crit = (4.0 * norm_a) ** 2
-    if weighted > crit * (1.0 + THRESHOLD_RTOL):
-        return RootVerdict(root_exists=True)
-    if abs(weighted - crit) <= THRESHOLD_RTOL * crit:
-        return RootVerdict(root_exists=False, decay_exponent=4)
-    return RootVerdict(root_exists=False, decay_exponent=3)
-
-
 def _h_real(x: float, spec: PolynomialSpec) -> float:
     return float(np.real(h_value(complex(x), spec)))
 
 
-def _scan_side(spec: PolynomialSpec, boundary: float, sign: int) -> float | None:
-    """Scan h for a sign change between sign*1e-8 and the interval boundary.
+def _scan_grid(spec: PolynomialSpec, boundary: float, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid between sign*1e-8 and the interval boundary with the finite values of h on it.
 
-    ``sign`` = -1 scans (m_*^+, 0), +1 scans (0, m_*^-).  The grid is
+    ``sign`` = -1 covers (m_*^+, 0), +1 covers (0, m_*^-).  The grid is
     geometric in |m| (400 points, capped at 1e8 when the interval is
     unbounded) with extra points stacked against a finite pole, where h
-    always dips to -infinity.  Returns the Brent-refined root or None.
+    always dips to -infinity.
     """
     if np.isfinite(boundary):
         inner = min(SCAN_INNER, abs(boundary) * 1e-3)  # stay inside a tiny interval
@@ -186,7 +125,15 @@ def _scan_side(spec: PolynomialSpec, boundary: float, sign: int) -> float | None
     grid = sign * mags
     values = np.real(h_value(grid.astype(complex), spec))
     ok = np.isfinite(values)
-    grid, values = grid[ok], values[ok]
+    return grid[ok], values[ok]
+
+
+def _scan_side(spec: PolynomialSpec, boundary: float, sign: int) -> float | None:
+    """First sign change of h on the scan grid, Brent-refined and Newton-polished.
+
+    Returns None when h keeps its sign on the grid.
+    """
+    grid, values = _scan_grid(spec, boundary, sign)
     flips = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
     if len(flips) == 0:
         return None
@@ -206,26 +153,20 @@ def _scan_side(spec: PolynomialSpec, boundary: float, sign: int) -> float | None
     return float(root)
 
 
-def _count_sign_changes(spec: PolynomialSpec, boundary: float, sign: int) -> int:
-    if np.isfinite(boundary):
-        inner = min(SCAN_INNER, abs(boundary) * 1e-3)
-        mags = np.geomspace(inner, abs(boundary) * (1.0 - 1e-9), SCAN_POINTS)
-    else:
-        mags = np.geomspace(SCAN_INNER, SCAN_CAP, SCAN_POINTS)
-    values = np.real(h_value((sign * mags).astype(complex), spec))
-    values = values[np.isfinite(values)]
-    return int(np.sum(np.sign(values[:-1]) * np.sign(values[1:]) < 0))
+def _threshold_product(classification: SpectralClassification) -> float:
+    """xi for a real direction or a vanishing xi, s xi for a genuinely complex one.
+
+    The singularity threshold sits where this product equals 2.
+    """
+    xi = classification.xi
+    if xi <= THRESHOLD_RTOL or classification.v_is_real_up_to_phase:
+        return xi
+    return compute_s_a(classification.v).s * xi
 
 
 def _reducible_no_root(classification: SpectralClassification) -> bool:
     """Singularity conditions: the mirrored h has no root on its hard side."""
-    xi = classification.xi
-    if xi <= THRESHOLD_RTOL:
-        return True
-    if classification.v_is_real_up_to_phase:
-        return xi <= 2.0 * (1.0 + THRESHOLD_RTOL)
-    s = compute_s_a(classification.v).s
-    return s * xi <= 2.0 * (1.0 + THRESHOLD_RTOL)
+    return _threshold_product(classification) <= 2.0 * (1.0 + THRESHOLD_RTOL)
 
 
 def _analytic_no_root(spec: PolynomialSpec, classification: SpectralClassification, side: int) -> bool:
@@ -280,17 +221,9 @@ def find_edge_roots(
 
 def _singular_exponent(classification: SpectralClassification) -> float:
     """Density blow-up exponent at a hard edge, from the singularity table."""
-    xi = classification.xi
-    if xi <= THRESHOLD_RTOL:
+    if abs(_threshold_product(classification) - 2.0) > 2.0 * THRESHOLD_RTOL:
         return -0.5
-    if classification.v_is_real_up_to_phase:
-        if abs(xi - 2.0) <= 2.0 * THRESHOLD_RTOL:
-            return -0.25
-        return -0.5
-    s = compute_s_a(classification.v).s
-    if abs(s * xi - 2.0) <= 2.0 * THRESHOLD_RTOL:
-        return -1.0 / 3.0
-    return -0.5
+    return -0.25 if classification.v_is_real_up_to_phase else -1.0 / 3.0
 
 
 def _edge_from_root(m_root: float, spec: PolynomialSpec) -> float:

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PolynomialSpec, SpectralClassification, classify_polynomial, validate_spec
-from .scalar import MAX_NEWTON_ITERATIONS, NoConvergenceError, RESIDUAL_RTOL, solve_m
+from .scalar import NoConvergenceError, damped_newton, solve_m
 
 SINGULAR_A_RTOL = 1e-10
 EPSILON_SHIFT_RTOL = 1e-7
-DE_RESIDUAL_TOL = 1e-9
 
 
 class SingularAError(ValueError):
@@ -82,6 +81,11 @@ class StabilityReport:
     isolated: bool
 
 
+def a_is_singular(spec: PolynomialSpec) -> bool:
+    """A has an eigenvalue below SINGULAR_A_RTOL ||A||, so K0 = diag(c, -A^{-1}) does not exist."""
+    return bool(np.min(np.abs(spec.eig_a)) < SINGULAR_A_RTOL * spec.norm_a)
+
+
 def regularized_spec(spec: PolynomialSpec, epsilon: float | None = None) -> PolynomialSpec:
     """Spec with A replaced by A + eps I (default eps = 1e-7 ||A||).
 
@@ -94,7 +98,7 @@ def regularized_spec(spec: PolynomialSpec, epsilon: float | None = None) -> Poly
 
 def build_linearization(spec: PolynomialSpec) -> Linearization:
     """K0 = diag(c, -A^{-1}) and K_j with (1,1) entry b_j and e_j off-diagonal blocks."""
-    if np.min(np.abs(spec.eig_a)) < SINGULAR_A_RTOL * spec.norm_a:
+    if a_is_singular(spec):
         raise SingularAError("A is singular; regularize with an epsilon shift first")
     l = spec.l
     K0 = np.zeros((l + 1, l + 1), dtype=complex)
@@ -171,7 +175,7 @@ def m_matrix(x: complex, spec: PolynomialSpec, z: complex, delta: float) -> np.n
 
 
 def _de_residual(M: np.ndarray, spec: PolynomialSpec, z: complex, delta: float) -> float:
-    if np.min(np.abs(spec.eig_a)) < SINGULAR_A_RTOL * spec.norm_a:
+    if a_is_singular(spec):
         return float("nan")
     lin = build_linearization(spec)
     eta = z.imag
@@ -180,29 +184,11 @@ def _de_residual(M: np.ndarray, spec: PolynomialSpec, z: complex, delta: float) 
     return float(np.linalg.norm(residual, ord=2))
 
 
-def _newton_m_delta(z: complex, delta: float, spec: PolynomialSpec, seed: complex) -> complex:
+def _m_delta_from(seed: complex, z: complex, delta: float, spec: PolynomialSpec) -> complex:
+    """Damped Newton for -1/m = z + gamma_delta(m) started at ``seed``."""
     A_delta, A_hat_delta = _a_delta(spec, z, delta)
-    m = seed
-    tol = RESIDUAL_RTOL * (1.0 + abs(z))
-    for _ in range(MAX_NEWTON_ITERATIONS):
-        value, prime = _gamma_delta_and_prime(m, spec, A_delta, A_hat_delta)
-        f = 1.0 / m + z + value
-        if abs(f) <= tol:
-            return m
-        fp = -1.0 / m**2 + prime
-        if fp == 0.0:
-            fp = 1e-300
-        step = f / fp
-        scale = 1.0
-        candidate = m - step
-        for _ in range(60):
-            if candidate.imag > 0.0 and np.isfinite(candidate):
-                break
-            scale *= 0.5
-            candidate = m - scale * step
-        m = candidate
-    value, _ = _gamma_delta_and_prime(m, spec, A_delta, A_hat_delta)
-    raise NoConvergenceError(z, abs(1.0 / m + z + value))
+    m, _, _ = damped_newton(z, seed, lambda x: _gamma_delta_and_prime(x, spec, A_delta, A_hat_delta))
+    return complex(m)
 
 
 def solve_m_delta(z: complex, delta: float, spec: PolynomialSpec) -> MDESolution:
@@ -210,7 +196,7 @@ def solve_m_delta(z: complex, delta: float, spec: PolynomialSpec) -> MDESolution
 
     The delta = 0 solution (the self-consistent Stieltjes transform) seeds a
     damped Newton iteration; if the direct jump to the requested delta fails,
-    the regularization is switched on in geometric sub-steps.
+    the regularization is switched on in eight equal sub-steps.
     """
     z = complex(z)
     if z.imag <= 0.0:
@@ -220,10 +206,10 @@ def solve_m_delta(z: complex, delta: float, spec: PolynomialSpec) -> MDESolution
     m = solve_m(z, spec).m
     if delta > 0.0:
         try:
-            m = _newton_m_delta(z, delta, spec, m)
+            m = _m_delta_from(m, z, delta, spec)
         except NoConvergenceError:
             for step_delta in np.linspace(0.0, delta, 9)[1:]:
-                m = _newton_m_delta(z, float(step_delta), spec, m)
+                m = _m_delta_from(m, z, float(step_delta), spec)
     M = m_matrix(m, spec, z, delta)
     return MDESolution(
         z=z,

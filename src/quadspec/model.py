@@ -192,7 +192,8 @@ def load_spec(source) -> PolynomialSpec:
 
     Expected layout: ``{"l": 2, "A": [[{"re": 0, "im": 0}, ...], ...],
     "b": [0, 0], "c": 0}`` with complex entries as ``{re, im}`` objects; ``b``
-    takes plain numbers or ``{re, im}`` objects with a zero imaginary part.
+    and ``c`` take plain numbers or ``{re, im}`` objects with a zero
+    imaginary part.
     """
     if isinstance(source, (str, Path)):
         p = Path(source)
@@ -220,7 +221,7 @@ def load_spec(source) -> PolynomialSpec:
         raise DimensionMismatchError("A rows do not match l")
     if not isinstance(raw_b, list):
         raise DimensionMismatchError("b must be a list")
-    return validate_spec(l, A, [_parse_entry(entry) for entry in raw_b], c)
+    return validate_spec(l, A, [_parse_entry(entry) for entry in raw_b], _parse_entry(c))
 
 
 def spec_hash_payload(spec: PolynomialSpec) -> str:

@@ -21,13 +21,8 @@ from .model import PolynomialSpec
 RESIDUAL_RTOL = 1e-11
 CONTINUATION_RATIO = 0.7
 MAX_NEWTON_ITERATIONS = 200
-POLE_DISTANCE = 1e-13
 REAL_AXIS_ETA = 1e-9
 B_PROJ_RTOL = 1e-12
-
-
-class PoleProximityError(ValueError):
-    """Evaluation point is too close to a pole of gamma or h."""
 
 
 class NoConvergenceError(RuntimeError):
@@ -135,74 +130,61 @@ def poles(spec: PolynomialSpec) -> PoleSet:
     )
 
 
-def evaluate_gamma_h(m: complex, spec: PolynomialSpec) -> tuple[complex, complex, complex]:
-    """(gamma(m), gamma'(m), h(m)) with pole-proximity protection."""
-    pole_set = poles(spec)
-    m = complex(m)
-    if len(pole_set.gamma_poles) and np.min(np.abs(m - pole_set.gamma_poles)) < POLE_DISTANCE:
-        raise PoleProximityError(f"m = {m} is within {POLE_DISTANCE} of a pole of gamma")
-    if abs(m) < POLE_DISTANCE:
-        raise PoleProximityError(f"m = {m} is within {POLE_DISTANCE} of the pole of h at 0")
-    return (
-        complex(gamma_value(m, spec)),
-        complex(gamma_prime(m, spec)),
-        complex(h_value(m, spec)),
-    )
-
-
-def _newton_step(z, m, spec, active):
-    fp = -h_value(m, spec)
-    fp = np.where(fp == 0.0, 1e-300, fp)
-    f = 1.0 / m + z + gamma_value(m, spec)
-    step = np.where(active, f / fp, 0.0)
-    scale = np.ones(m.shape)
-    candidate = m - step
-    for _ in range(60):
-        bad = active & ((candidate.imag <= 0.0) | ~np.isfinite(candidate))
-        if not np.any(bad):
-            break
-        scale = np.where(bad, 0.5 * scale, scale)
-        candidate = m - scale * step
-    return np.where(active & (candidate.imag > 0.0) & np.isfinite(candidate), candidate, m)
-
-
-def _newton_level(z: np.ndarray, m: np.ndarray, spec: PolynomialSpec, polish: int = 0) -> tuple[np.ndarray, int]:
+def damped_newton(z, m, gamma_and_prime, polish: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
     """Damped Newton for f(m) = 1/m + z + gamma(m) at fixed z, keeping Im m > 0.
 
-    A step that would leave the upper half-plane is halved until it does not.
-    Raises when any component misses the residual target after the iteration
-    budget; that indicates a bug or a pathological spec, not a valid outcome.
-    ``polish`` extra keep-best iterations push the residual toward the
-    numerical floor, which sharpens m near the edges where the Newton
-    derivative -h(m) degenerates.
+    ``gamma_and_prime(m)`` returns (gamma(m), gamma'(m)) for an array m, so
+    f'(m) = gamma'(m) - 1/m^2 and f is evaluated once per iteration.  A step
+    that would leave the upper half-plane is halved until it does not; after
+    60 halvings it is rejected and m stays put.  Raises NoConvergenceError
+    when any component misses the residual target after the iteration
+    budget.  ``polish`` extra keep-best iterations push the residual toward
+    the numerical floor, which sharpens m near the edges where f'
+    degenerates.  Returns (m, |f(m)|, iterations).
     """
+    z = np.asarray(z, dtype=complex)
+    m = np.asarray(m, dtype=complex)
     tol = RESIDUAL_RTOL * (1.0 + np.abs(z))
+
+    def evaluate(m):
+        gamma, gamma_p = gamma_and_prime(m)
+        return 1.0 / m + z + gamma, gamma_p - 1.0 / m**2
+
+    def damped_step(m, f, fp, active):
+        step = np.where(active, f / np.where(fp == 0.0, 1e-300, fp), 0.0)
+        scale = np.ones(m.shape)
+        candidate = m - step
+        for _ in range(60):
+            bad = active & ((candidate.imag <= 0.0) | ~np.isfinite(candidate))
+            if not np.any(bad):
+                break
+            scale = np.where(bad, 0.5 * scale, scale)
+            candidate = m - scale * step
+        return np.where(active & (candidate.imag > 0.0) & np.isfinite(candidate), candidate, m)
+
+    f, fp = evaluate(m)
     iterations = 0
-    converged = False
     for _ in range(MAX_NEWTON_ITERATIONS):
-        f = 1.0 / m + z + gamma_value(m, spec)
         active = np.abs(f) > tol
         if not np.any(active):
-            converged = True
             break
         iterations += 1
-        m = _newton_step(z, m, spec, active)
-    if not converged:
-        f = 1.0 / m + z + gamma_value(m, spec)
-        res = np.abs(f)
-        if np.any(res > tol):
-            worst = int(np.argmax(res / (1.0 + np.abs(z))))
-            raise NoConvergenceError(complex(z.flat[worst]), float(res.flat[worst]))
-    best_m = m
-    best_res = np.abs(1.0 / m + z + gamma_value(m, spec))
+        m = damped_step(m, f, fp, active)
+        f, fp = evaluate(m)
+    res = np.abs(f)
+    if np.any(res > tol):
+        worst = int(np.argmax(res / (1.0 + np.abs(z))))
+        raise NoConvergenceError(complex(z.flat[worst]), float(res.flat[worst]))
+    best_m, best_res = m, res
     for _ in range(polish):
-        m = _newton_step(z, m, spec, np.ones(m.shape, dtype=bool))
-        res = np.abs(1.0 / m + z + gamma_value(m, spec))
+        m = damped_step(m, f, fp, np.ones(m.shape, dtype=bool))
+        f, fp = evaluate(m)
+        res = np.abs(f)
         better = res < best_res
         best_m = np.where(better, m, best_m)
         best_res = np.where(better, res, best_res)
         iterations += 1
-    return best_m, iterations
+    return best_m, best_res, iterations
 
 
 def solve_branch(z, spec: PolynomialSpec) -> tuple[np.ndarray, np.ndarray, int]:
@@ -217,6 +199,10 @@ def solve_branch(z, spec: PolynomialSpec) -> tuple[np.ndarray, np.ndarray, int]:
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag <= 0.0):
         raise ValueError("spectral parameters must lie in the upper half-plane")
+
+    def gamma_and_prime(m):
+        return gamma_value(m, spec), gamma_prime(m, spec)
+
     big_eta = 10.0 * spec.coefficient_scale**2
     eta_target = z.imag
     eta = np.maximum(np.full(z.shape, big_eta), eta_target)
@@ -225,13 +211,11 @@ def solve_branch(z, spec: PolynomialSpec) -> tuple[np.ndarray, np.ndarray, int]:
     while True:
         level = z.real + 1j * eta
         final = bool(np.all(eta == eta_target))
-        m, iters = _newton_level(level, m, spec, polish=3 if final else 0)
+        m, residual, iters = damped_newton(level, m, gamma_and_prime, polish=3 if final else 0)
         total_iterations += iters
         if final:
-            break
+            return m, residual, total_iterations
         eta = np.maximum(eta_target, CONTINUATION_RATIO * eta)
-    residual = np.abs(1.0 / m + z + gamma_value(m, spec))
-    return m, residual, total_iterations
 
 
 def solve_m(z: complex, spec: PolynomialSpec) -> StieltjesPoint:

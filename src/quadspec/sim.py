@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mde import _a_delta
 from .model import PolynomialSpec
 
 GAUSSIAN_COMPLEX = "gaussian-complex"
@@ -199,63 +200,35 @@ def resolvent_trace(Q_or_eigenvalues: np.ndarray, z: complex) -> complex:
     return complex(np.mean(1.0 / (eigs - z)))
 
 
-def _a_delta_matrix(spec: PolynomialSpec, eta: float, delta: float) -> np.ndarray:
-    vals = spec.eig_a / (1.0 + 1j * delta * eta * spec.eig_a)
-    return (spec.vec_a * vals) @ spec.vec_a.conj().T
-
-
-def generalized_resolvent_blocks(spec: PolynomialSpec, X, z: complex, delta: float) -> np.ndarray:
-    """Full (l+1)N generalized resolvent assembled from the Schur-complement blocks.
-
-    Block layout: [[g, g X^t A_d], [A_d X g, -A_d + A_d X g X^t A_d]] with
-    g = (X^t A_d X + b^t X + c - z)^{-1} and A_d = A (I + i delta eta A)^{-1}.
-    """
-    z = complex(z)
-    X = [np.asarray(x, dtype=complex) for x in X]
-    n = X[0].shape[0]
-    l = spec.l
-    A_d = _a_delta_matrix(spec, z.imag, delta)
-    core = np.zeros((n, n), dtype=complex)
-    for i in range(l):
-        acc = np.zeros((n, n), dtype=complex)
-        for j in range(l):
-            acc += A_d[i, j] * X[j]
-        core += X[i] @ acc
-    for i in range(l):
-        core += spec.b[i] * X[i]
-    core += (spec.c - z) * np.eye(n)
-    g = np.linalg.inv(core)
-
-    G = np.zeros(((l + 1) * n, (l + 1) * n), dtype=complex)
-    G[:n, :n] = g
-    gx = [g @ X[k] for k in range(l)]
-    xg = [X[k] @ g for k in range(l)]
-    for j in range(l):
-        G[:n, (j + 1) * n : (j + 2) * n] = sum(A_d[k, j] * gx[k] for k in range(l))
-        G[(j + 1) * n : (j + 2) * n, :n] = sum(A_d[j, k] * xg[k] for k in range(l))
-    for i in range(l):
-        left = sum(A_d[i, k] * X[k] for k in range(l))
-        for j in range(l):
-            right = sum(A_d[k, j] * X[k] for k in range(l))
-            block = -A_d[i, j] * np.eye(n) + left @ g @ right
-            G[(i + 1) * n : (i + 2) * n, (j + 1) * n : (j + 2) * n] = block
-    return G
-
-
 def build_generalized_resolvent(spec: PolynomialSpec, X, z: complex, delta: float) -> np.ndarray:
-    """Blockwise normalized trace of the generalized resolvent, an (l+1)x(l+1) matrix."""
+    """Blockwise normalized trace of the generalized resolvent, an (l+1)x(l+1) matrix.
+
+    With A_d = A (I + i delta eta A)^{-1}, g = (sum_ij X_i A_d,ij X_j + sum_i
+    b_i X_i + c - z)^{-1}, t_k = tr(X_k g)/N and T_kk' = tr(X_k g X_k')/N the
+    block traces are [[tr g/N, t^t A_d], [A_d t, -A_d + A_d T A_d]]: 2l
+    products and one inverse, no (l+1)N matrix.
+    """
     z = complex(z)
     if z.imag <= 0.0:
         raise ValueError(f"Im z must be positive, got z = {z}")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    n = np.asarray(X[0]).shape[0]
-    G = generalized_resolvent_blocks(spec, X, z, delta)
+    X = [np.asarray(x, dtype=complex) for x in X]
+    n = X[0].shape[0]
     l = spec.l
-    out = np.zeros((l + 1, l + 1), dtype=complex)
-    for i in range(l + 1):
-        for j in range(l + 1):
-            out[i, j] = np.trace(G[i * n : (i + 1) * n, j * n : (j + 1) * n]) / n
+    A_d, _ = _a_delta(spec, z, delta)
+    core = (spec.c - z) * np.eye(n, dtype=complex)
+    for i in range(l):
+        core += X[i] @ sum(A_d[i, j] * X[j] for j in range(l)) + spec.b[i] * X[i]
+    g = np.linalg.inv(core)
+    gx = [g @ x for x in X]
+    t = np.array([np.trace(y) for y in gx]) / n
+    T = np.array([[np.einsum("ij,ji->", x, y) for y in gx] for x in X]) / n
+    out = np.empty((l + 1, l + 1), dtype=complex)
+    out[0, 0] = np.trace(g) / n
+    out[0, 1:] = t @ A_d
+    out[1:, 0] = A_d @ t
+    out[1:, 1:] = -A_d + A_d @ T @ A_d
     return out
 
 

@@ -25,6 +25,7 @@ from quadspec import (
     stability_spectrum,
     validate_spec,
 )
+from quadspec.cli import NORM_SLOPE_RANGE, run_suite_norm
 from quadspec.lemmas import entrywise_real_part_violations, quad_stability_violations
 from quadspec.sim import GAUSSIAN_COMPLEX, RADEMACHER
 
@@ -173,19 +174,17 @@ def test_criterion_5_mde_consistency(wsq, anti, anti_edges):
     assert ok, detail
 
 
-def test_criterion_6_norm_convergence_rate(wsq, anti, anti_edges):
+def test_criterion_6_norm_convergence_rate(wsq, anti):
     t0 = time.perf_counter()
-    sizes = (256, 512, 1024, 2048)
-    slopes = {}
-    for name, spec, tau_star in (("squared", wsq, 4.0), ("anticommutator", anti, anti_edges.tau_star)):
-        medians = []
-        for n in sizes:
-            cfg = EnsembleConfig(N=n, dist=GAUSSIAN_COMPLEX, seed=SEED + n, trials=50)
-            result = simulate_run(spec, cfg)
-            medians.append(float(np.median(np.abs(result.norms - tau_star))))
-        slopes[name] = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
+    sizes = [256, 512, 1024, 2048]
+    reports = {
+        name: run_suite_norm(spec, sizes, 50, SEED, GAUSSIAN_COMPLEX, threads=1)
+        for name, spec in (("squared", wsq), ("anticommutator", anti))
+    }
+    slopes = {name: report.norm_scaling_slope for name, report in reports.items()}
     elapsed = time.perf_counter() - t0
-    ok = all(-0.85 <= s <= -0.50 for s in slopes.values()) and elapsed < 1800.0
+    window = NORM_SLOPE_RANGE == (-0.85, -0.50)
+    ok = window and all(report.passed for report in reports.values()) and elapsed < 1800.0
     detail = " ".join(f"{k}={v:.4f}" for k, v in slopes.items()) + " target=-0.667"
     _report(6, "norm convergence rate", ok, elapsed, detail)
     assert ok, slopes

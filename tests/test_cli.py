@@ -94,6 +94,29 @@ def test_classify_b_entries(b, error, tmp_path, capsys):
         assert captured.err.startswith(f"input error: {error}")
 
 
+@pytest.mark.parametrize(
+    "c, error",
+    [
+        (0, None),
+        ({"re": 0, "im": 0}, None),
+        ({"re": 0, "im": 1}, "c must be real"),
+        ({"re": [0], "im": 0}, "coefficient entry"),
+    ],
+    ids=["plain", "re-im", "complex", "non-numeric"],
+)
+def test_classify_c_entries(c, error, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"l": 1, "A": [[{"re": 1, "im": 0}]], "b": [0], "c": c}))
+    code = main(["classify", "--spec", str(path)])
+    captured = capsys.readouterr()
+    if error is None:
+        assert code == EXIT_OK
+        assert json.loads(captured.out)["kind"] == "WignerSquare"
+    else:
+        assert code == EXIT_INPUT
+        assert captured.err.startswith(f"input error: {error}")
+
+
 def test_analyze_squared_wigner(wsq_file, tmp_path, capsys):
     prefix = str(tmp_path / "wsq")
     assert main(["analyze", "--spec", wsq_file, "--out", prefix]) == EXIT_OK
@@ -321,6 +344,20 @@ def test_verify_simulation_errors_are_infra(attr, error, wsq_file, tmp_path, mon
     )
     assert code == EXIT_INFRA
     assert capsys.readouterr().err.startswith("infrastructure error:")
+
+
+@pytest.mark.parametrize("value", ["-0.1", "0", "nan", "inf", "x"])
+def test_verify_rejects_bad_eta_before_compute(value, wsq_file, tmp_path, monkeypatch, capsys):
+    import quadspec.cli as cli_module
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("compute_edges ran before --eta was checked")
+
+    monkeypatch.setattr(cli_module, "compute_edges", must_not_run)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "deloc", "--spec", wsq_file, f"--eta={value}", "--out", str(tmp_path / "e")])
+    assert excinfo.value.code == EXIT_INPUT
+    assert "--eta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

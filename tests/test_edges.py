@@ -1,21 +1,91 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from quadspec import (
+    classify_polynomial,
     compute_edges,
     compute_s_a,
     find_edge_roots,
     poles,
     reducible_spec,
-    root_existence_conditions,
     solve_m,
     validate_spec,
 )
-from quadspec.edges import RealDirectionError, _count_sign_changes
+from quadspec.edges import THRESHOLD_RTOL, RealDirectionError, _analytic_no_root, _scan_grid
 from quadspec.scalar import h_prime, h_value
 
 ANTI_M = np.sqrt(np.sqrt(5.0) - 2.0)  # root of m^4 + 4 m^2 - 1 = 0
 ANTI_TAU = 3.3301906767855614  # -1/m_+ - gamma(m_+) at the quartic root
+RANK_RTOL = 1e-10
+
+
+@dataclass(frozen=True)
+class RootVerdict:
+    """Existence of a root of h on (m_*^+, 0); decay exponent p when absent.
+
+    ``h(m) ~ (-m)^{-p}`` as m -> -infinity with p in {3, 4, 5} in the no-root
+    cases.
+    """
+
+    root_exists: bool
+    decay_exponent: int | None = None
+
+
+def root_existence_conditions(spec) -> RootVerdict:
+    """Oracle: analytic root existence for h on (m_*^+, 0) from the raw coefficients.
+
+    h has no root there if and only if A is negative semi-definite of rank
+    one, b lies in the image of A_hat, and the linear part is at or below the
+    critical size: ||b|| <= 4 ||A|| for real A, or the r_pm-weighted variant
+    for genuinely complex A.  Threshold equalities are decided with relative
+    tolerance 1e-9 and sharpen the decay of h from (-m)^{-3} to (-m)^{-5}
+    (real) or (-m)^{-4} (complex).  It works from the eigendata of A and
+    A_hat, independently of the classification that compute_edges uses.
+    """
+    svals = np.linalg.svd(spec.A, compute_uv=False)
+    rank_one = spec.l == 1 or svals[1] <= RANK_RTOL * svals[0]
+    if not rank_one:
+        return RootVerdict(root_exists=True)
+    alpha = float(spec.eig_a[int(np.argmax(np.abs(spec.eig_a)))])
+    if alpha > 0:
+        return RootVerdict(root_exists=True)
+
+    norm_a = spec.norm_a
+    hat_vals = spec.eig_a_hat
+    kernel = np.abs(hat_vals) <= RANK_RTOL * norm_a
+    kernel_weight = float(np.sum(spec.b_proj[kernel]))
+    image_tol = 1e-10 * (spec.norm_b + 1.0)
+    if kernel_weight > image_tol**2:
+        return RootVerdict(root_exists=True)
+
+    is_real = np.max(np.abs(spec.A.imag)) <= 1e-14 * norm_a
+    if is_real:
+        crit = 4.0 * norm_a
+        if spec.norm_b > crit * (1.0 + THRESHOLD_RTOL):
+            return RootVerdict(root_exists=True)
+        if abs(spec.norm_b - crit) <= THRESHOLD_RTOL * crit:
+            return RootVerdict(root_exists=False, decay_exponent=5)
+        return RootVerdict(root_exists=False, decay_exponent=3)
+
+    nz = ~kernel
+    mu_pm = hat_vals[nz]
+    w_pm = spec.b_proj[nz]
+    r_pm = -mu_pm / norm_a
+    weighted = float(np.sum(w_pm / r_pm**3))
+    crit = (4.0 * norm_a) ** 2
+    if weighted > crit * (1.0 + THRESHOLD_RTOL):
+        return RootVerdict(root_exists=True)
+    if abs(weighted - crit) <= THRESHOLD_RTOL * crit:
+        return RootVerdict(root_exists=False, decay_exponent=4)
+    return RootVerdict(root_exists=False, decay_exponent=3)
+
+
+def _count_sign_changes(spec, boundary, sign) -> int:
+    """Sign changes of h on the grid that the edge scan uses."""
+    _, values = _scan_grid(spec, boundary, sign)
+    return int(np.sum(np.sign(values[:-1]) * np.sign(values[1:]) < 0))
 
 
 def test_find_roots_squared_wigner(wigner_square_spec):
@@ -190,6 +260,7 @@ def test_root_existence_matches_scan():
         ps = poles(spec)
         found = _count_sign_changes(spec, ps.m_star_plus, -1) > 0
         assert verdict.root_exists == found
+        assert verdict.root_exists == (not _analytic_no_root(spec, classify_polynomial(spec), -1))
 
 
 def test_scan_sees_at_most_one_sign_change():

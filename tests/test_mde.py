@@ -15,9 +15,50 @@ from quadspec import (
 from quadspec.mde import (
     SingularAError,
     WignerSquareUnsupportedError,
+    _a_delta,
+    _gamma_delta_and_prime,
     _gamma_matrix,
+    a_is_singular,
     stability_operator_matrix,
 )
+from quadspec.scalar import MAX_NEWTON_ITERATIONS, RESIDUAL_RTOL, NoConvergenceError
+
+
+# The regularized Newton loop as it was before it shared the scalar solver's
+# damped Newton (scalar complex arithmetic), kept as the oracle for m_delta.
+def _oracle_newton_m_delta(z, delta, spec, seed):
+    A_delta, A_hat_delta = _a_delta(spec, z, delta)
+    m = seed
+    tol = RESIDUAL_RTOL * (1.0 + abs(z))
+    for _ in range(MAX_NEWTON_ITERATIONS):
+        value, prime = _gamma_delta_and_prime(m, spec, A_delta, A_hat_delta)
+        f = 1.0 / m + z + value
+        if abs(f) <= tol:
+            return m
+        fp = -1.0 / m**2 + prime
+        if fp == 0.0:
+            fp = 1e-300
+        step = f / fp
+        scale = 1.0
+        candidate = m - step
+        for _ in range(60):
+            if candidate.imag > 0.0 and np.isfinite(candidate):
+                break
+            scale *= 0.5
+            candidate = m - scale * step
+        m = candidate
+    value, _ = _gamma_delta_and_prime(m, spec, A_delta, A_hat_delta)
+    raise NoConvergenceError(z, abs(1.0 / m + z + value))
+
+
+def _oracle_m_delta(z, delta, spec):
+    m = solve_m(z, spec).m
+    try:
+        return _oracle_newton_m_delta(z, delta, spec, m)
+    except NoConvergenceError:
+        for step_delta in np.linspace(0.0, delta, 9)[1:]:
+            m = _oracle_newton_m_delta(z, float(step_delta), spec, m)
+        return m
 
 
 def test_linearization_squared_wigner(wigner_square_spec):
@@ -39,9 +80,11 @@ def test_linearization_anticommutator(anticommutator_spec):
 
 def test_linearization_singular_a():
     spec = validate_spec(2, [[1, 0], [0, 0]], [0, 0], 0.0)
+    assert a_is_singular(spec)
     with pytest.raises(SingularAError):
         build_linearization(spec)
     reg = regularized_spec(spec)
+    assert not a_is_singular(reg)
     assert np.min(np.abs(reg.eig_a)) >= 1e-8
     build_linearization(reg)  # must not raise
 
@@ -102,6 +145,23 @@ def test_dyson_residual_random_points(wigner_square_spec, anticommutator_spec):
             sol = solve_m_delta(z, delta, spec)
             assert sol.m_delta.imag > 0
             assert sol.de_residual <= 1e-9
+
+
+def test_m_delta_matches_oracle(wigner_square_spec, anticommutator_spec, complex_threshold_spec):
+    # the shared damped Newton moves m_delta only by the rounding of numpy
+    # against Python complex arithmetic
+    rng = np.random.default_rng(8)
+    specs = [wigner_square_spec, anticommutator_spec, complex_threshold_spec]
+    for _ in range(6):
+        l = int(rng.integers(2, 4))
+        g = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
+        specs.append(validate_spec(l, 0.5 * (g + g.conj().T), rng.standard_normal(l), float(rng.standard_normal())))
+    for spec in specs:
+        for _ in range(15):
+            z = complex(rng.uniform(-5, 5), 10 ** rng.uniform(-3, 0.7))
+            delta = float(rng.uniform(0, 1))
+            expected = _oracle_m_delta(z, delta, spec)
+            assert abs(solve_m_delta(z, delta, spec).m_delta - expected) <= 1e-14 * abs(expected)
 
 
 def test_regularization_error_linear_off_support(wigner_square_spec):

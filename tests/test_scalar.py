@@ -1,30 +1,98 @@
 import numpy as np
 import pytest
 
-from quadspec import evaluate_gamma_h, poles, solve_m, validate_spec
+from quadspec import poles, solve_m, validate_spec
 from quadspec.scalar import (
+    CONTINUATION_RATIO,
+    MAX_NEWTON_ITERATIONS,
+    RESIDUAL_RTOL,
     NoConvergenceError,
-    PoleProximityError,
+    gamma_prime,
     gamma_value,
     h_value,
     solve_branch,
 )
 
 
+# The damped Newton and continuation as they were before the scalar and the
+# regularized solvers shared one implementation, kept as the oracle that
+# solve_branch must match bit for bit.
+def _oracle_newton_step(z, m, spec, active):
+    fp = -h_value(m, spec)
+    fp = np.where(fp == 0.0, 1e-300, fp)
+    f = 1.0 / m + z + gamma_value(m, spec)
+    step = np.where(active, f / fp, 0.0)
+    scale = np.ones(m.shape)
+    candidate = m - step
+    for _ in range(60):
+        bad = active & ((candidate.imag <= 0.0) | ~np.isfinite(candidate))
+        if not np.any(bad):
+            break
+        scale = np.where(bad, 0.5 * scale, scale)
+        candidate = m - scale * step
+    return np.where(active & (candidate.imag > 0.0) & np.isfinite(candidate), candidate, m)
+
+
+def _oracle_newton_level(z, m, spec, polish=0):
+    tol = RESIDUAL_RTOL * (1.0 + np.abs(z))
+    iterations = 0
+    converged = False
+    for _ in range(MAX_NEWTON_ITERATIONS):
+        f = 1.0 / m + z + gamma_value(m, spec)
+        active = np.abs(f) > tol
+        if not np.any(active):
+            converged = True
+            break
+        iterations += 1
+        m = _oracle_newton_step(z, m, spec, active)
+    if not converged:
+        f = 1.0 / m + z + gamma_value(m, spec)
+        res = np.abs(f)
+        if np.any(res > tol):
+            worst = int(np.argmax(res / (1.0 + np.abs(z))))
+            raise NoConvergenceError(complex(z.flat[worst]), float(res.flat[worst]))
+    best_m = m
+    best_res = np.abs(1.0 / m + z + gamma_value(m, spec))
+    for _ in range(polish):
+        m = _oracle_newton_step(z, m, spec, np.ones(m.shape, dtype=bool))
+        res = np.abs(1.0 / m + z + gamma_value(m, spec))
+        better = res < best_res
+        best_m = np.where(better, m, best_m)
+        best_res = np.where(better, res, best_res)
+        iterations += 1
+    return best_m, iterations
+
+
+def _oracle_solve_branch(z, spec):
+    z = np.asarray(z, dtype=complex)
+    big_eta = 10.0 * spec.coefficient_scale**2
+    eta_target = z.imag
+    eta = np.maximum(np.full(z.shape, big_eta), eta_target)
+    m = -1.0 / (z.real + 1j * eta)
+    total_iterations = 0
+    while True:
+        level = z.real + 1j * eta
+        final = bool(np.all(eta == eta_target))
+        m, iters = _oracle_newton_level(level, m, spec, polish=3 if final else 0)
+        total_iterations += iters
+        if final:
+            break
+        eta = np.maximum(eta_target, CONTINUATION_RATIO * eta)
+    residual = np.abs(1.0 / m + z + gamma_value(m, spec))
+    return m, residual, total_iterations
+
+
 def test_gamma_h_squared_wigner(wigner_square_spec):
     # gamma(m) = -1/(1+m), h(m) = 1/m^2 - 1/(1+m)^2; m = -1/2 is the root of h
-    g, gp, h = evaluate_gamma_h(-0.5, wigner_square_spec)
-    assert g == pytest.approx(-2.0, abs=1e-14)
-    assert h == pytest.approx(0.0, abs=1e-13)
+    assert complex(gamma_value(-0.5, wigner_square_spec)) == pytest.approx(-2.0, abs=1e-14)
+    assert complex(h_value(-0.5, wigner_square_spec)) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_gamma_anticommutator_partial_fractions(anticommutator_spec):
     # gamma(m) = 2m/(1 - m^2) by partial fractions over the eigenvalues ±1
-    g, _, _ = evaluate_gamma_h(1j, anticommutator_spec)
-    assert g == pytest.approx(1j, abs=1e-14)
+    assert complex(gamma_value(1j, anticommutator_spec)) == pytest.approx(1j, abs=1e-14)
     for m in (0.3 + 0.4j, -2.0 + 1.0j, 5.0j):
-        g, _, _ = evaluate_gamma_h(m, anticommutator_spec)
-        assert g == pytest.approx(2 * m / (1 - m**2), abs=1e-12)
+        assert complex(gamma_value(m, anticommutator_spec)) == pytest.approx(2 * m / (1 - m**2), abs=1e-12)
 
 
 @pytest.mark.parametrize("spec_name", ["wigner_square_spec", "anticommutator_spec", "complex_threshold_spec"])
@@ -34,16 +102,9 @@ def test_gamma_prime_finite_differences(spec_name, request):
     delta = 1e-6
     for _ in range(100):
         m = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))
-        _, gp, _ = evaluate_gamma_h(m, spec)
+        gp = complex(gamma_prime(m, spec))
         fd = (gamma_value(m + delta, spec) - gamma_value(m - delta, spec)) / (2 * delta)
         assert abs(gp - fd) <= 1e-6
-
-
-def test_pole_proximity_guard(wigner_square_spec):
-    with pytest.raises(PoleProximityError):
-        evaluate_gamma_h(-1.0, wigner_square_spec)
-    with pytest.raises(PoleProximityError):
-        evaluate_gamma_h(0.0, wigner_square_spec)
 
 
 def test_pole_sets(wigner_square_spec, anticommutator_spec):
@@ -154,3 +215,37 @@ def test_no_convergence_is_signalled():
             solve_m(0.5 + 1e-9j, spec)
     finally:
         scalar.MAX_NEWTON_ITERATIONS = original
+
+
+def _random_specs(rng, count):
+    specs = []
+    for _ in range(count):
+        l = int(rng.integers(1, 4))
+        g = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)) * (l > 1)
+        specs.append(validate_spec(l, 0.5 * (g + g.conj().T), rng.standard_normal(l), float(rng.standard_normal())))
+    return specs
+
+
+def test_solve_branch_matches_oracle_bitwise(
+    wigner_square_spec, anticommutator_spec, shifted_square_spec, threshold_square_spec,
+    complex_half_spec, complex_threshold_spec,
+):
+    # the shared damped Newton reproduces the old scalar solver bit for bit:
+    # the same m, the same residuals and the same iteration counts
+    rng = np.random.default_rng(31)
+    fixtures = [wigner_square_spec, anticommutator_spec, shifted_square_spec, threshold_square_spec,
+                complex_half_spec, complex_threshold_spec]
+    for spec in fixtures + _random_specs(rng, 12):
+        scale = spec.coefficient_scale
+        grid = rng.uniform(-2 * scale, 2 * scale, 64) + 1j * 10 ** rng.uniform(-7, 1, 64)
+        for z in (grid, grid[:1], np.array(grid[1])):
+            try:
+                expected = _oracle_solve_branch(z, spec)
+            except NoConvergenceError:
+                with pytest.raises(NoConvergenceError):
+                    solve_branch(z, spec)
+                continue
+            m, residual, iterations = solve_branch(z, spec)
+            assert np.array_equal(m, expected[0])
+            assert np.array_equal(residual, expected[1])
+            assert iterations == expected[2]

@@ -22,7 +22,6 @@ from quadspec.sim import (
     AsymmetryBlowupError,
     SimulationError,
     _run_trial,
-    generalized_resolvent_blocks,
     trial_rng,
     trial_workers,
 )
@@ -125,26 +124,30 @@ def anti_sample(anticommutator_spec):
     return [sample_wigner(64, GAUSSIAN_COMPLEX, rng) for _ in range(2)]
 
 
+def _pencil_block_traces(spec, X, z, delta):
+    """Independent oracle: invert the linearization pencil densely and take its block traces."""
+    n, l = X[0].shape[0], spec.l
+    lin = build_linearization(spec)
+    pencil = np.kron(lin.K0, np.eye(n)) + sum(np.kron(lin.K[j], X[j]) for j in range(l))
+    j_big = np.kron(lin.J, np.eye(n))
+    direct = np.linalg.inv(pencil - z * j_big - 1j * z.imag * delta * (np.eye((l + 1) * n) - j_big))
+    blocks = direct.reshape(l + 1, n, l + 1, n)
+    return np.einsum("injn->ij", blocks) / n
+
+
 def test_generalized_resolvent_matches_pencil_inverse(anticommutator_spec, anti_sample):
-    # independent oracle: invert the linearization pencil directly
     z, delta = 1.3 + 0.7j, 0.4
-    n = 64
-    blocks = generalized_resolvent_blocks(anticommutator_spec, anti_sample, z, delta)
-    lin = build_linearization(anticommutator_spec)
-    pencil = np.kron(lin.K0, np.eye(n)) + sum(np.kron(lin.K[j], anti_sample[j]) for j in range(2))
-    j_big = np.kron(lin.J, np.eye(n))
-    direct = np.linalg.inv(pencil - z * j_big - 1j * z.imag * delta * (np.eye(3 * n) - j_big))
-    assert np.max(np.abs(blocks - direct)) <= 1e-10
+    traces = build_generalized_resolvent(anticommutator_spec, anti_sample, z, delta)
+    assert np.max(np.abs(traces - _pencil_block_traces(anticommutator_spec, anti_sample, z, delta))) <= 1e-10
 
 
-def test_generalized_resolvent_ward_identity(anticommutator_spec, anti_sample):
-    z = 1.3 + 0.7j
-    n = 64
-    g0 = generalized_resolvent_blocks(anticommutator_spec, anti_sample, z, 0.0)
-    lin = build_linearization(anticommutator_spec)
-    j_big = np.kron(lin.J, np.eye(n))
-    ward = g0 @ j_big @ g0.conj().T - (g0 - g0.conj().T) / (2j * z.imag)
-    assert np.max(np.abs(ward)) <= 1e-8
+def test_generalized_resolvent_matches_pencil_inverse_complex_l3():
+    spec = _generic_l3_spec()
+    rng = trial_rng(6, 0)
+    X = [sample_wigner(48, GAUSSIAN_COMPLEX, rng) for _ in range(3)]
+    for z, delta in ((0.9 + 0.8j, 0.0), (-1.7 + 0.3j, 0.6)):
+        traces = build_generalized_resolvent(spec, X, z, delta)
+        assert np.max(np.abs(traces - _pencil_block_traces(spec, X, z, delta))) <= 1e-10
 
 
 def test_generalized_resolvent_corner_block(anticommutator_spec, anti_sample):
