@@ -24,6 +24,7 @@ from .density import (
     DensityCurve,
     InsufficientPointsError,
     MassDeficitError,
+    check_mass,
     compute_density,
     fit_edge_exponent,
     quantiles,
@@ -105,8 +106,7 @@ def compare_ks(empirical, curve: DensityCurve) -> float:
     x = np.sort(np.asarray(empirical, dtype=float))
     if len(x) == 0:
         raise ValueError("empirical sample is empty")
-    if abs(curve.mass - 1.0) > MASS_TOLERANCE:
-        raise MassDeficitError(f"curve mass {curve.mass} deviates from 1 beyond {MASS_TOLERANCE}")
+    check_mass(curve)
     n = len(x)
     F = curve.cdf_at(x) / curve.mass
     upper = np.arange(1, n + 1) / n
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="print the reducibility classification as JSON")
-    p_classify.add_argument("--spec", required=True, help="path to the polynomial JSON file")
+    p_classify.add_argument("--spec", required=True, help="polynomial JSON file, or the JSON itself")
 
     p_analyze = sub.add_parser("analyze", help="edges JSON, density CSV and plot script")
     p_analyze.add_argument("--spec", required=True)

@@ -1,13 +1,23 @@
-"""Self-consistent density of states on an energy grid by Stieltjes inversion.
+"""Self-consistent density of states and its distribution function on an energy grid.
 
 The density is rho(E) = (1/pi) lim Im m(E + i eta); the limit is taken by
 two-point Richardson extrapolation in eta (1e-6 and 5e-7), which cancels the
 O(eta) error of Im m inside the bulk.  The grid is uniform over the padded
 support with geometric refinement towards each edge so that edge exponents
-can be fitted and the mass integral meets its 1e-3 budget.  Around a
-blow-up edge the trapezoid rule is useless, so the cumulative mass on
-(edge, edge + kappa_ref] is evaluated from a local power-law model
-C kappa^p + D with the analytically known exponent p.
+can be fitted.
+
+The distribution function is read off the upper half-plane rather than the
+real axis:
+
+    F(E) = 1/2 - (1/pi) int_0^inf Re m(E + i eta) d eta.
+
+The integrand is smooth in log eta, so the levels of the continuation that
+brings m down to eta = 1e-6 serve as trapezoid nodes in log eta; [0, 1e-6]
+adds eta Re m at the last level.  Above the top level H the law is replaced by
+two atoms of weight 1/2 at mu +- sigma (its mean tr A + c and variance
+||A||_F^2 + ||b||^2), whose tail integral is exact, and an Euler-Maclaurin
+term corrects the trapezoid rule at H.  Narrow spikes on the real axis are
+smoothed out at eta > 0, so the mass is 1 up to the quadrature error in eta.
 """
 
 from __future__ import annotations
@@ -18,14 +28,13 @@ import numpy as np
 
 from .edges import EdgeReport
 from .model import PolynomialSpec
-from .scalar import solve_branch
+from .scalar import CONTINUATION_RATIO, continuation, damped_newton, gamma_and_prime
 
 ETA_COARSE = 1e-6
 ETA_FINE = 5e-7
 REFINE_FACTOR = 0.8
 REFINE_POINTS = 40
 SINGULAR_CUTOFF = 1e-6
-MODEL_MATCH_DISTANCE = 1e-3
 FIT_WINDOW = (1e-5, 1e-2)
 MIN_FIT_POINTS = 20
 MASS_TOLERANCE = 1e-3
@@ -40,29 +49,11 @@ class InsufficientPointsError(ValueError):
 
 
 @dataclass(frozen=True)
-class _EdgeModel:
-    """Local density model C kappa^p + D on (edge, edge + kappa_ref]."""
-
-    edge: float
-    side: int  # +1: support extends to the right of the edge, -1: to the left
-    exponent: float
-    coeff: float
-    offset: float
-    kappa_ref: float
-
-    def cumulative(self, kappa) -> np.ndarray:
-        kappa = np.clip(kappa, 0.0, self.kappa_ref)
-        p = self.exponent
-        return self.coeff * kappa ** (p + 1.0) / (p + 1.0) + self.offset * kappa
-
-
-@dataclass(frozen=True)
 class DensityCurve:
     """Sampled density with cumulative integral and edge metadata.
 
-    ``cdf[i]`` is the mass of (-inf, energies[i]]; ``mass`` its final value.
-    Near a singular hard edge the cdf uses the local power-law model instead
-    of the trapezoid rule.
+    ``cdf[i]`` is the mass of (energies[0], energies[i]], from the eta
+    integral of Re m; ``mass`` is its final value.
     """
 
     energies: np.ndarray
@@ -91,48 +82,26 @@ def _refined_distances(width: float, singular: bool) -> np.ndarray:
     return distances[distances >= SINGULAR_CUTOFF]
 
 
-def _evaluate_rho(energies: np.ndarray, spec: PolynomialSpec) -> np.ndarray:
-    m_coarse, _, _ = solve_branch(energies + 1j * ETA_COARSE, spec)
-    m_fine, _, _ = solve_branch(energies + 1j * ETA_FINE, spec)
-    extrapolated = 2.0 * m_fine.imag - m_coarse.imag  # linear Richardson to eta = 0
-    return np.maximum(extrapolated, 0.0) / np.pi
-
-
-def _fit_edge_model(energies, rho, edge: float, side: int, exponent: float) -> _EdgeModel:
-    """Least-squares fit of rho ~ C kappa^p + D close to a singular edge."""
-    kappa = side * (energies - edge)
-    window = (kappa >= 1e-4) & (kappa <= 1e-2)
-    k = kappa[window]
-    r = rho[window]
-    design = np.stack([k**exponent, np.ones_like(k)], axis=1)
-    (coeff, offset), *_ = np.linalg.lstsq(design, r, rcond=None)
-    candidates = kappa[(kappa > 0) & (kappa <= MODEL_MATCH_DISTANCE)]
-    kappa_ref = float(candidates.max()) if len(candidates) else MODEL_MATCH_DISTANCE
-    return _EdgeModel(
-        edge=edge, side=side, exponent=exponent, coeff=float(coeff), offset=float(offset), kappa_ref=kappa_ref
-    )
-
-
-def _cumulative(energies, rho, model: _EdgeModel | None) -> np.ndarray:
-    """Cumulative trapezoid integral, with the model replacing the singular-zone cells.
-
-    For every grid cell that overlaps the model zone (signed edge distance in
-    (0, kappa_ref]), the trapezoid increment is replaced by the exact
-    integral of the local power law; kappa_ref is chosen on a grid point so
-    cells never straddle its boundary.
-    """
-    increments = 0.5 * (rho[1:] + rho[:-1]) * np.diff(energies)
-    if model is not None:
-        kappa = model.side * (energies - model.edge)
-        for i in range(len(increments)):
-            k0, k1 = kappa[i], kappa[i + 1]
-            lo_k, hi_k = (k0, k1) if model.side > 0 else (k1, k0)
-            if hi_k <= 0.0 or lo_k >= model.kappa_ref:
-                continue
-            increments[i] = float(
-                model.cumulative(min(hi_k, model.kappa_ref)) - model.cumulative(max(lo_k, 0.0))
-            )
-    return np.concatenate([[0.0], np.cumsum(increments)])
+def _stieltjes_walk(energies: np.ndarray, spec: PolynomialSpec):
+    """m at eta = ETA_COARSE and int_0^inf Re m(E + i eta) d eta, from one continuation."""
+    total = None
+    for eta, m, _, _ in continuation(energies + 1j * ETA_COARSE, spec):
+        g, t = eta * m.real, np.log(eta)  # d eta = eta d(log eta)
+        if total is None:
+            top, total = eta, np.zeros_like(g)
+        else:
+            total += 0.5 * (t_prev - t) * (g_prev + g)
+        g_prev, t_prev = g, t
+    total += g  # [0, ETA_COARSE] at the last level's Re m
+    # above H = top: two atoms matching the mean and variance of the law
+    mean = float(np.trace(spec.A).real) + spec.c
+    sigma = float(np.sqrt(np.sum(np.abs(spec.A) ** 2) + np.sum(spec.b**2)))
+    h = np.log(1.0 / CONTINUATION_RATIO)
+    for atom in (mean - sigma, mean + sigma):
+        a = atom - energies
+        total += 0.5 * np.arctan2(a, top)
+        total -= h**2 / 12.0 * 0.5 * top * a * (a**2 - top**2) / (a**2 + top**2) ** 2
+    return m, total
 
 
 def compute_density(spec: PolynomialSpec, edges: EdgeReport, n_grid: int = 512) -> DensityCurve:
@@ -152,27 +121,23 @@ def compute_density(spec: PolynomialSpec, edges: EdgeReport, n_grid: int = 512) 
     left_pts = tau_minus + _refined_distances(width, singular=not edges.left_edge_regular)
     right_pts = tau_plus - _refined_distances(width, singular=not edges.right_edge_regular)
     energies = np.unique(np.concatenate([base, left_pts, right_pts]))
-    rho = _evaluate_rho(energies, spec)
+    m_coarse, integral = _stieltjes_walk(energies, spec)
+    m_fine, _, _ = damped_newton(energies + 1j * ETA_FINE, m_coarse, gamma_and_prime(spec), polish=3)
+    rho = np.maximum(2.0 * m_fine.imag - m_coarse.imag, 0.0) / np.pi  # linear Richardson to eta = 0
+    distribution = 0.5 - integral / np.pi
+    cdf = distribution - distribution[0]
+    return DensityCurve(energies=energies, rho=rho, mass=float(cdf[-1]), edge_meta=edges, cdf=cdf)
 
-    model = None
-    if not edges.left_edge_regular:
-        model = _fit_edge_model(energies, rho, tau_minus, +1, edges.left_exponent)
-    elif not edges.right_edge_regular:
-        model = _fit_edge_model(energies, rho, tau_plus, -1, edges.right_exponent)
-    cdf = _cumulative(energies, rho, model)
-    return DensityCurve(
-        energies=energies,
-        rho=rho,
-        mass=float(cdf[-1]),
-        edge_meta=edges,
-        cdf=cdf,
-    )
+
+def check_mass(curve: DensityCurve) -> None:
+    """Raise MassDeficitError when the curve mass misses 1 by more than MASS_TOLERANCE."""
+    if abs(curve.mass - 1.0) > MASS_TOLERANCE:
+        raise MassDeficitError(f"curve mass {curve.mass} deviates from 1 beyond {MASS_TOLERANCE}")
 
 
 def quantiles(curve: DensityCurve, n: int) -> np.ndarray:
     """Classical eigenvalue locations gamma_k with integral (k - 1/2)/n, k = 1..n."""
-    if abs(curve.mass - 1.0) > MASS_TOLERANCE:
-        raise MassDeficitError(f"curve mass {curve.mass} deviates from 1 beyond {MASS_TOLERANCE}")
+    check_mass(curve)
     targets = (np.arange(1, n + 1) - 0.5) / n * curve.mass
     cdf, energies = curve.cdf, curve.energies
     idx = np.searchsorted(cdf, targets, side="left")

@@ -18,6 +18,8 @@ import numpy as np
 HERMITICITY_RTOL = 1e-8
 RANK_ONE_RTOL = 1e-10
 B_SPAN_TOL = 1e-10
+B_PROJ_RTOL = 1e-12
+EIG_ZERO_RTOL = 1e-14
 
 
 class SpecError(ValueError):
@@ -43,7 +45,10 @@ class PolynomialSpec:
     ``eig_a``/``vec_a`` are the eigenvalues (ascending) and orthonormal
     eigenvector columns of ``A``; ``eig_a_hat``/``vec_a_hat`` the same for the
     entrywise real part ``A_hat = (A + A^t)/2``; ``b_proj[i] = |<w_i, b>|^2``
-    for the ``A_hat`` eigenvectors ``w_i``.  Arrays are read-only.
+    for the ``A_hat`` eigenvectors ``w_i``.  The self-energy reads the split
+    ``mu`` (the eigenvalues of A above 1e-14 ||A||) and ``mu_hat``/``w2``
+    (the A_hat eigenvalues and b weights with weight above 1e-12 ||b||^2).
+    Arrays are read-only.
     """
 
     l: int
@@ -56,6 +61,9 @@ class PolynomialSpec:
     eig_a_hat: np.ndarray
     vec_a_hat: np.ndarray
     b_proj: np.ndarray
+    mu: np.ndarray
+    mu_hat: np.ndarray
+    w2: np.ndarray
 
     @property
     def norm_a(self) -> float:
@@ -161,6 +169,8 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
     eig_a, vec_a = np.linalg.eigh(A)
     eig_a_hat, vec_a_hat = np.linalg.eigh(A_hat)
     b_proj = np.abs(vec_a_hat.T @ b_arr) ** 2
+    mu = eig_a[np.abs(eig_a) > EIG_ZERO_RTOL * max(float(np.max(np.abs(eig_a))), 1e-300)]
+    keep = b_proj > B_PROJ_RTOL * max(float(np.linalg.norm(b_arr)) ** 2, 1e-300)
 
     return PolynomialSpec(
         l=int(l),
@@ -173,6 +183,9 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
         eig_a_hat=_freeze(eig_a_hat),
         vec_a_hat=_freeze(vec_a_hat),
         b_proj=_freeze(b_proj),
+        mu=_freeze(mu),
+        mu_hat=_freeze(eig_a_hat[keep]),
+        w2=_freeze(b_proj[keep]),
     )
 
 
@@ -190,17 +203,21 @@ def _parse_entry(entry) -> complex:
 def load_spec(source) -> PolynomialSpec:
     """Load a polynomial spec from a JSON file, JSON string or parsed dict.
 
-    Expected layout: ``{"l": 2, "A": [[{"re": 0, "im": 0}, ...], ...],
-    "b": [0, 0], "c": 0}`` with complex entries as ``{re, im}`` objects; ``b``
-    and ``c`` take plain numbers or ``{re, im}`` objects with a zero
+    A string whose first non-blank character is ``{`` is JSON; any other
+    string or Path names a file, and a file that cannot be read raises
+    SpecError.  Expected layout: ``{"l": 2, "A": [[{"re": 0, "im": 0}, ...],
+    ...], "b": [0, 0], "c": 0}`` with complex entries as ``{re, im}`` objects;
+    ``b`` and ``c`` take plain numbers or ``{re, im}`` objects with a zero
     imaginary part.
     """
-    if isinstance(source, (str, Path)):
-        p = Path(source)
-        if p.exists():
-            data = json.loads(p.read_text())
-        else:
-            data = json.loads(str(source))
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        data = json.loads(source)
+    elif isinstance(source, (str, Path)):
+        try:
+            text = Path(source).read_text()
+        except OSError as exc:
+            raise SpecError(f"cannot read spec file {str(source)!r}: {exc.strerror or exc}") from exc
+        data = json.loads(text)
     elif isinstance(source, dict):
         data = source
     else:

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolynomialSpec
+from .model import EIG_ZERO_RTOL, PolynomialSpec
 
 RESIDUAL_RTOL = 1e-11
 CONTINUATION_RATIO = 0.7
 MAX_NEWTON_ITERATIONS = 200
 REAL_AXIS_ETA = 1e-9
-B_PROJ_RTOL = 1e-12
 
 
 class NoConvergenceError(RuntimeError):
@@ -58,20 +57,10 @@ class PoleSet:
     m_star_minus: float
 
 
-def _split_eigendata(spec: PolynomialSpec):
-    """Nonzero eigenvalues of A, and A_hat eigenpairs carrying b weight."""
-    mu = spec.eig_a[np.abs(spec.eig_a) > 1e-14 * max(spec.norm_a, 1e-300)]
-    weight_tol = B_PROJ_RTOL * max(spec.norm_b**2, 1e-300)
-    keep = spec.b_proj > weight_tol
-    mu_hat = spec.eig_a_hat[keep]
-    w2 = spec.b_proj[keep]
-    return mu, mu_hat, w2
-
-
 def gamma_value(m, spec: PolynomialSpec):
     """gamma(m) for scalar or array m (no pole checks)."""
     m = np.asarray(m, dtype=complex)
-    mu, mu_hat, w2 = _split_eigendata(spec)
+    mu, mu_hat, w2 = spec.mu, spec.mu_hat, spec.w2
     x = m[..., None]
     out = -np.sum(mu / (1.0 + x * mu), axis=-1)
     if len(w2):
@@ -82,7 +71,7 @@ def gamma_value(m, spec: PolynomialSpec):
 def gamma_prime(m, spec: PolynomialSpec):
     """gamma'(m) = sum mu^2/(1+m mu)^2 + sum |<w,b>|^2/(1+2m mu_hat)^3."""
     m = np.asarray(m, dtype=complex)
-    mu, mu_hat, w2 = _split_eigendata(spec)
+    mu, mu_hat, w2 = spec.mu, spec.mu_hat, spec.w2
     x = m[..., None]
     out = np.sum(mu**2 / (1.0 + x * mu) ** 2, axis=-1)
     if len(w2):
@@ -99,7 +88,7 @@ def h_value(m, spec: PolynomialSpec):
 def h_prime(m, spec: PolynomialSpec):
     """h'(m), used to polish edge roots and certify their first order."""
     m = np.asarray(m, dtype=complex)
-    mu, mu_hat, w2 = _split_eigendata(spec)
+    mu, mu_hat, w2 = spec.mu, spec.mu_hat, spec.w2
     x = m[..., None]
     out = -2.0 / m**3 + 2.0 * np.sum(mu**3 / (1.0 + x * mu) ** 3, axis=-1)
     if len(w2):
@@ -113,9 +102,9 @@ def poles(spec: PolynomialSpec) -> PoleSet:
     A_hat eigendirections enter only when they carry b weight
     (|<w_i, b>|^2 > 1e-12 ||b||^2).
     """
-    mu, mu_hat, _ = _split_eigendata(spec)
+    mu, mu_hat = spec.mu, spec.mu_hat
     gamma_list = [-1.0 / x for x in mu]
-    gamma_list += [-0.5 / x for x in mu_hat[np.abs(mu_hat) > 1e-14 * max(spec.norm_a, 1e-300)]]
+    gamma_list += [-0.5 / x for x in mu_hat[np.abs(mu_hat) > EIG_ZERO_RTOL * max(spec.norm_a, 1e-300)]]
     gamma_poles = np.array(sorted(gamma_list))
     h_poles = np.array(sorted(gamma_list + [0.0]))
     negative = gamma_poles[gamma_poles < 0.0]
@@ -128,6 +117,11 @@ def poles(spec: PolynomialSpec) -> PoleSet:
         m_star_plus=m_star_plus,
         m_star_minus=m_star_minus,
     )
+
+
+def gamma_and_prime(spec: PolynomialSpec):
+    """The map m -> (gamma(m), gamma'(m)) that damped_newton takes for ``spec``."""
+    return lambda m: (gamma_value(m, spec), gamma_prime(m, spec))
 
 
 def damped_newton(z, m, gamma_and_prime, polish: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
@@ -187,35 +181,41 @@ def damped_newton(z, m, gamma_and_prime, polish: int = 0) -> tuple[np.ndarray, n
     return best_m, best_res, iterations
 
 
-def solve_branch(z, spec: PolynomialSpec) -> tuple[np.ndarray, np.ndarray, int]:
-    """Solve the self-consistent equation on an array of spectral parameters.
+def continuation(z, spec: PolynomialSpec):
+    """Walk the Nevanlinna branch down to an array of spectral parameters.
 
     Continuation starts high above the real axis at eta = H with
     H = 10 (1 + ||A|| + ||b|| + |c|)^2, seeded with m = -1/z there, and the
     imaginary part is lowered geometrically (ratio 0.7) to its target while
-    damped Newton tracks the Nevanlinna branch.  Returns (m, residual,
-    newton iterations).
+    damped Newton tracks the branch; the last level is polished.  Yields
+    (eta, m, residual, newton iterations) at each level, from H down.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag <= 0.0):
         raise ValueError("spectral parameters must lie in the upper half-plane")
-
-    def gamma_and_prime(m):
-        return gamma_value(m, spec), gamma_prime(m, spec)
-
-    big_eta = 10.0 * spec.coefficient_scale**2
+    gamma_p = gamma_and_prime(spec)
     eta_target = z.imag
-    eta = np.maximum(np.full(z.shape, big_eta), eta_target)
+    eta = np.maximum(np.full(z.shape, 10.0 * spec.coefficient_scale**2), eta_target)
     m = -1.0 / (z.real + 1j * eta)
-    total_iterations = 0
     while True:
-        level = z.real + 1j * eta
         final = bool(np.all(eta == eta_target))
-        m, residual, iters = damped_newton(level, m, gamma_and_prime, polish=3 if final else 0)
-        total_iterations += iters
+        m, residual, iters = damped_newton(z.real + 1j * eta, m, gamma_p, polish=3 if final else 0)
+        yield eta, m, residual, iters
         if final:
-            return m, residual, total_iterations
+            return
         eta = np.maximum(eta_target, CONTINUATION_RATIO * eta)
+
+
+def solve_branch(z, spec: PolynomialSpec) -> tuple[np.ndarray, np.ndarray, int]:
+    """Solve the self-consistent equation on an array of spectral parameters.
+
+    Runs ``continuation`` to its last level.  Returns (m, residual, newton
+    iterations summed over the levels).
+    """
+    total_iterations = 0
+    for _, m, residual, iters in continuation(z, spec):
+        total_iterations += iters
+    return m, residual, total_iterations
 
 
 def solve_m(z: complex, spec: PolynomialSpec) -> StieltjesPoint:

@@ -65,6 +65,34 @@ def test_classify_malformed_json(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        ("directory", "input error: cannot read spec file"),
+        ("missing", "input error: cannot read spec file"),
+        ("inline", None),
+        ("file", None),
+    ],
+    ids=["directory", "missing", "inline", "file"],
+)
+def test_classify_spec_source(source, error, wsq_file, tmp_path, capsys):
+    arg = {
+        "directory": str(tmp_path),
+        "missing": str(tmp_path / "nosuch.json"),
+        "inline": '  {"l": 1, "A": [[1]], "b": [0], "c": 0}',
+        "file": wsq_file,
+    }[source]
+    code = main(["classify", "--spec", arg])
+    captured = capsys.readouterr()
+    if error is None:
+        assert code == EXIT_OK
+        assert json.loads(captured.out)["kind"] == "WignerSquare"
+    else:
+        assert code == EXIT_INPUT
+        assert captured.err.startswith(error)
+        assert arg in captured.err
+
+
 def test_classify_invalid_spec(tmp_path, capsys):
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps({"l": 1, "A": [[{"re": 0, "im": 0}]], "b": [1], "c": 0}))

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,12 +8,16 @@ from quadspec import (
     compute_density,
     compute_edges,
     fit_edge_exponent,
+    load_spec,
     quantiles,
     solve_m,
     validate_spec,
     write_density_csv,
 )
-from quadspec.density import InsufficientPointsError, MassDeficitError
+from quadspec.density import MASS_TOLERANCE, InsufficientPointsError, MassDeficitError
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from corpus import build_corpus  # noqa: E402
 
 # integral of sqrt((4-E)/E)/(2 pi) from gamma to 4 equals 1/2000 (quadrature oracle)
 SQUARED_WIGNER_TOP_QUANTILE = 3.955481225986735
@@ -188,3 +195,92 @@ def test_write_density_csv(tmp_path, squared_curve):
     first_e, first_rho = lines[1].split(",")
     assert float(first_e) == squared_curve.energies[0]
     assert float(first_rho) == squared_curve.rho[0]
+
+
+# The eta quadrature of the cdf reaches |mass - 1| <= 8.3e-7 on the 150 corpus
+# specs of seeds 1, 2 and 9173; a tail cut to one atom at the mean gives 2.3e-5.
+QUADRATURE_MASS_ERROR = 1e-5
+
+
+def semicircle_cdf(x):
+    x = np.clip(x, -2.0, 2.0)
+    return 0.5 + x * np.sqrt(4.0 - x**2) / (4.0 * np.pi) + np.arcsin(x / 2.0) / np.pi
+
+
+@pytest.mark.parametrize("xi", [0.0, 1.0, 2.0])
+def test_cdf_matches_closed_form_of_shifted_square(xi):
+    # (X - xi)^2 <= E  <=>  xi - sqrt E <= X <= xi + sqrt E
+    spec = validate_spec(1, [[1.0]], [-2.0 * xi], xi**2)
+    curve = compute_density(spec, compute_edges(spec), 512)
+    root = np.sqrt(np.maximum(curve.energies, 0.0))
+    exact = semicircle_cdf(xi + root) - semicircle_cdf(xi - root)
+    assert np.max(np.abs(curve.cdf - exact)) <= 1e-4
+    assert abs(curve.mass - 1.0) <= QUADRATURE_MASS_ERROR
+
+
+# Corpus specs (perfbench corpus, seed 9173) on which a real-axis trapezoid
+# rule missed a narrow spike: masses 1.1166, 1.0356 and 1.0117 at n_grid 512.
+SPIKE_SPECS = {
+    "complex_near_threshold": {
+        "l": 2,
+        "A": [
+            [
+                {"re": 0.23799751949090803, "im": 3.659267719750029e-19},
+                {"re": 0.587423270451233, "im": 0.00861209350819017},
+            ],
+            [
+                {"re": 0.587423270451233, "im": -0.008612093508190168},
+                {"re": 1.450184302594806, "im": 3.818999970293344e-18},
+            ],
+        ],
+        "b": [0.00046389009920576964, 0.001147636533841013],
+        "c": 0.5287439387273076,
+    },
+    "near_singular": {
+        "l": 2,
+        "A": [
+            [
+                {"re": 0.7025224219213473, "im": -7.074146168786862e-18},
+                {"re": 0.0766956428144877, "im": -1.2641629669765393},
+            ],
+            [
+                {"re": 0.07669564281448771, "im": 1.2641629669765393},
+                {"re": 2.304449075663838, "im": -5.1916197549219357e-17},
+            ],
+        ],
+        "b": [-0.03763027499306737, -0.07609992449013979],
+        "c": -1.1262681549765823,
+    },
+    "real_near_threshold": {
+        "l": 1,
+        "A": [[{"re": 1.4584358504603832, "im": 0.0}]],
+        "b": [-5.8475961976102235],
+        "c": 6.444827733207245,
+    },
+}
+
+
+def assert_valid_curve(curve):
+    assert abs(curve.mass - 1.0) <= MASS_TOLERANCE
+    assert curve.cdf[0] == 0.0
+    assert np.all(np.diff(curve.cdf) >= 0.0)
+    gamma = quantiles(curve, 1024)
+    assert np.all(np.isfinite(gamma))
+    assert np.all(np.diff(gamma) >= 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(SPIKE_SPECS))
+def test_mass_on_narrow_spike_specs(name):
+    spec = load_spec(SPIKE_SPECS[name])
+    assert_valid_curve(compute_density(spec, compute_edges(spec), 512))
+
+
+@pytest.mark.parametrize("item", build_corpus(1, 0.3), ids=lambda item: item.name)
+def test_corpus_density_is_a_distribution(item):
+    spec = load_spec(item.data)
+    edges = compute_edges(spec)
+    assert edges.tau_minus < edges.tau_plus
+    curve = compute_density(spec, edges, 512)
+    assert np.all(curve.rho >= 0.0)
+    assert_valid_curve(curve)
+    assert abs(curve.mass - 1.0) <= QUADRATURE_MASS_ERROR
