@@ -35,7 +35,6 @@ from .mde import (
     build_linearization,
     gamma_operator,
     m_matrix,
-    regularized_spec,
     solve_m_delta,
     stability_spectrum,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "build_linearization",
     "gamma_operator",
     "m_matrix",
-    "regularized_spec",
     "solve_m_delta",
     "stability_spectrum",
     "EnsembleConfig",

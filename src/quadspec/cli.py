@@ -32,7 +32,7 @@ from .density import (
 )
 from .edges import InconsistentClassificationError, compute_edges
 from .lemmas import entrywise_real_part_violations, quad_stability_violations
-from .mde import SingularAError, WignerSquareUnsupportedError, a_is_singular, solve_m_delta, stability_spectrum
+from .mde import BETA_KAPPAS, SingularAError, WignerSquareUnsupportedError, a_is_singular, beta_slopes, solve_m_delta
 from .model import SpecError, classify_polynomial, load_spec, spec_hash_payload
 from .scalar import NoConvergenceError, solve_m
 from .sim import (
@@ -41,6 +41,7 @@ from .sim import (
     AsymmetryBlowupError,
     EnsembleConfig,
     SimulationError,
+    SimulationResult,
     simulate_run,
     trial_workers,
 )
@@ -141,23 +142,29 @@ def run_suite_lemmas(seed: int) -> ComparisonReport:
 
 
 def run_suite_density(spec, n, trials, seed, dist, n_grid, threads) -> ComparisonReport:
-    _, edges, curve = _analysis(spec, n_grid)
+    _, _, curve = _analysis(spec, n_grid)
     cfg = EnsembleConfig(N=n, dist=dist, seed=seed, trials=trials)
     result = simulate_run(spec, cfg, threads=threads)
-    ks = compare_ks(result.pooled, curve)
-    report = ComparisonReport(
-        suite="density",
-        spec_hash=spec_digest(spec),
-        seed=seed,
-        config={"N": n, "trials": trials, "dist": dist, "n_grid": n_grid},
-        ks_distance=ks,
-    )
+    return judge_density(spec, curve, result, n_grid)
+
+
+def _run_report(suite: str, spec, result: SimulationResult, **config) -> ComparisonReport:
+    """Report of a suite judged on one run; N, trials, dist and seed come from the run."""
+    cfg = result.config
+    config = {"N": cfg.N, "trials": cfg.trials, "dist": cfg.dist, **config}
+    return ComparisonReport(suite=suite, spec_hash=spec_digest(spec), seed=cfg.seed, config=config)
+
+
+def judge_density(spec, curve: DensityCurve, result: SimulationResult, n_grid: int) -> ComparisonReport:
+    """KS distance of the pooled spectrum to the curve, and the curve's mass."""
+    report = _run_report("density", spec, result, n_grid=n_grid)
+    ks = report.ks_distance = compare_ks(result.pooled, curve)
     try:
         report.edge_exponent_left = fit_edge_exponent(curve, "left")
         report.edge_exponent_right = fit_edge_exponent(curve, "right")
     except InsufficientPointsError:
         pass
-    report.values = {"mass": curve.mass, "tau_star": edges.tau_star}
+    report.values = {"mass": curve.mass, "tau_star": curve.edge_meta.tau_star}
     report.thresholds = {"ks_distance": KS_THRESHOLD, "mass_deviation": MASS_TOLERANCE}
     report.pass_flags = {
         "ks_distance": ks <= KS_THRESHOLD,
@@ -195,10 +202,18 @@ def run_suite_deloc(spec, n, trials, seed, dist, eta, threads) -> ComparisonRepo
     edges = compute_edges(spec)
     eta = eta if eta is not None else n**-0.5
     z = edges.tau_plus + 1j * eta
-    m = solve_m(z, spec).m
     cfg = EnsembleConfig(N=n, dist=dist, seed=seed, trials=trials)
     result = simulate_run(spec, cfg, probes=[z], edge_targets=[edges.tau_plus], threads=threads)
+    return judge_deloc(spec, result)
 
+
+def judge_deloc(spec, result: SimulationResult) -> ComparisonReport:
+    """Trace local law at the run's probe z and delocalization near its edge target."""
+    n, trials = result.config.N, result.config.trials
+    z = result.resolvent_traces[0][0][0]
+    edge = result.edge_targets[0]
+    eta = z.imag
+    m = solve_m(z, spec).m
     ll_bound = 10.0 * n**0.05 / (n * eta)
     deloc_bound = 10.0 * np.log(n) / n
     ll_pass = 0
@@ -206,16 +221,11 @@ def run_suite_deloc(spec, n, trials, seed, dist, eta, threads) -> ComparisonRepo
     for traces, stats in zip(result.resolvent_traces, result.edge_vectors):
         if abs(traces[0][1] - m) <= ll_bound:
             ll_pass += 1
-        near = [s for s in stats[0] if abs(s.eigenvalue - edges.tau_plus) <= 0.1]
+        near = [s for s in stats[0] if abs(s.eigenvalue - edge) <= 0.1]
         if all(s.max_component_sq <= deloc_bound for s in near):
             deloc_pass += 1
     needed = _pass_count_needed(trials)
-    report = ComparisonReport(
-        suite="deloc",
-        spec_hash=spec_digest(spec),
-        seed=seed,
-        config={"N": n, "trials": trials, "dist": dist, "eta": eta},
-    )
+    report = _run_report("deloc", spec, result, eta=eta)
     report.values = {
         "trace_local_law_passes": ll_pass,
         "delocalization_passes": deloc_pass,
@@ -232,11 +242,17 @@ def run_suite_deloc(spec, n, trials, seed, dist, eta, threads) -> ComparisonRepo
 
 
 def run_suite_rigidity(spec, n, trials, seed, dist, n_grid, threads) -> ComparisonReport:
-    _, edges, curve = _analysis(spec, n_grid)
-    gamma = quantiles(curve, n)
-    bound = 10.0 * n ** (-2.0 / 3.0 + 0.1)
+    _, _, curve = _analysis(spec, n_grid)
     cfg = EnsembleConfig(N=n, dist=dist, seed=seed, trials=trials)
     result = simulate_run(spec, cfg, threads=threads)
+    return judge_rigidity(spec, curve, result, n_grid)
+
+
+def judge_rigidity(spec, curve: DensityCurve, result: SimulationResult, n_grid: int) -> ComparisonReport:
+    """Top three eigenvalues of each trial within 10 N^(-2/3 + 0.1) of their classical locations."""
+    n, trials = result.config.N, result.config.trials
+    gamma = quantiles(curve, n)
+    bound = 10.0 * n ** (-2.0 / 3.0 + 0.1)
     passes = 0
     worst = 0.0
     for eigs in result.eigenvalues:
@@ -245,12 +261,7 @@ def run_suite_rigidity(spec, n, trials, seed, dist, n_grid, threads) -> Comparis
         if max(deviations) <= bound:
             passes += 1
     needed = _pass_count_needed(trials)
-    report = ComparisonReport(
-        suite="rigidity",
-        spec_hash=spec_digest(spec),
-        seed=seed,
-        config={"N": n, "trials": trials, "dist": dist, "n_grid": n_grid},
-    )
+    report = _run_report("rigidity", spec, result, n_grid=n_grid)
     report.values = {"passes": passes, "trials": trials, "bound": bound, "worst_deviation": worst}
     report.thresholds = {"passes_needed": needed}
     report.pass_flags = {"rigidity": passes >= needed}
@@ -273,26 +284,13 @@ def run_suite_stability(spec, seed) -> ComparisonReport:
         )
         delta = float(rng.uniform(0.0, 1.0))
         max_residual = max(max_residual, solve_m_delta(z, delta, spec).de_residual)
-
-    kappas = (1e-2, 1e-4, 1e-6)
-    slopes = {}
-    for side, edge, sign, regular in (
-        ("right", edges.tau_plus, +1, edges.right_edge_regular),
-        ("left", edges.tau_minus, -1, edges.left_edge_regular),
-    ):
-        if not regular:
-            continue
-        betas = [
-            abs(stability_spectrum(edge + sign * k + 1e-10j, 0.0, spec, classification).beta)
-            for k in kappas
-        ]
-        slopes[side] = float(np.polyfit(np.log(kappas), np.log(betas), 1)[0])
+    slopes = beta_slopes(spec, edges, classification)
 
     report = ComparisonReport(
         suite="stability",
         spec_hash=spec_digest(spec),
         seed=seed,
-        config={"residual_points": 100, "kappas": list(kappas)},
+        config={"residual_points": 100, "kappas": list(BETA_KAPPAS)},
     )
     report.values = {"max_de_residual": max_residual, "beta_slopes": slopes}
     report.thresholds = {
@@ -422,19 +420,9 @@ def cmd_analyze(args) -> int:
         except InsufficientPointsError:
             exponents[side] = None
 
-    edges_payload = {
-        "tau_plus": edges.tau_plus,
-        "tau_minus": edges.tau_minus,
-        "m_plus": edges.m_plus,
-        "m_minus": edges.m_minus,
-        "left_edge_regular": edges.left_edge_regular,
-        "right_edge_regular": edges.right_edge_regular,
-        "left_exponent": edges.left_exponent,
-        "right_exponent": edges.right_exponent,
+    edges_payload = asdict(edges) | {
         "fitted_exponent_left": exponents["left"],
         "fitted_exponent_right": exponents["right"],
-        "h_prime_at_roots": list(edges.h_prime_at_roots),
-        "tau_star": edges.tau_star,
         "mass": curve.mass,
         "classification": classification.to_json_dict(),
     }

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolynomialSpec, SpectralClassification, classify_polynomial, validate_spec
+from .edges import EdgeReport
+from .model import PolynomialSpec, SpectralClassification, classify_polynomial
 from .scalar import NoConvergenceError, damped_newton, solve_m
 
 SINGULAR_A_RTOL = 1e-10
-EPSILON_SHIFT_RTOL = 1e-7
+BETA_KAPPAS = (1e-2, 1e-4, 1e-6)
 
 
 class SingularAError(ValueError):
@@ -84,16 +85,6 @@ class StabilityReport:
 def a_is_singular(spec: PolynomialSpec) -> bool:
     """A has an eigenvalue below SINGULAR_A_RTOL ||A||, so K0 = diag(c, -A^{-1}) does not exist."""
     return bool(np.min(np.abs(spec.eig_a)) < SINGULAR_A_RTOL * spec.norm_a)
-
-
-def regularized_spec(spec: PolynomialSpec, epsilon: float | None = None) -> PolynomialSpec:
-    """Spec with A replaced by A + eps I (default eps = 1e-7 ||A||).
-
-    The shift makes A invertible for linearization-dependent quantities;
-    scalar-equation quantities never need it.
-    """
-    eps = EPSILON_SHIFT_RTOL * spec.norm_a if epsilon is None else epsilon
-    return validate_spec(spec.l, spec.A + eps * np.eye(spec.l), spec.b, spec.c)
 
 
 def build_linearization(spec: PolynomialSpec) -> Linearization:
@@ -284,3 +275,21 @@ def stability_spectrum(z: complex, delta: float, spec: PolynomialSpec,
         beta_gap=beta_gap,
         isolated=bool(beta_gap >= 2.0 * np.abs(beta) + 0.01),
     )
+
+
+def beta_slopes(spec: PolynomialSpec, edges: EdgeReport, classification: SpectralClassification) -> dict[str, float]:
+    """Log-log slope of |beta(edge +- kappa + 1e-10 i)| over BETA_KAPPAS at each regular
+    edge; a square-root edge gives 1/2."""
+    slopes = {}
+    for side, edge, sign, regular in (
+        ("right", edges.tau_plus, +1, edges.right_edge_regular),
+        ("left", edges.tau_minus, -1, edges.left_edge_regular),
+    ):
+        if not regular:
+            continue
+        betas = [
+            abs(stability_spectrum(edge + sign * k + 1e-10j, 0.0, spec, classification).beta)
+            for k in BETA_KAPPAS
+        ]
+        slopes[side] = float(np.polyfit(np.log(BETA_KAPPAS), np.log(betas), 1)[0])
+    return slopes

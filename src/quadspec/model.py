@@ -190,13 +190,13 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
 
 
 def _parse_entry(entry) -> complex:
-    if isinstance(entry, dict):
-        try:
+    try:
+        if isinstance(entry, dict):
             return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise DimensionMismatchError(f"coefficient entry {entry!r} has a non-numeric part") from exc
-    if isinstance(entry, (int, float)):
-        return complex(entry)
+        if isinstance(entry, (int, float)):
+            return complex(entry)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond double range
+        raise DimensionMismatchError(f"coefficient entry {entry!r} is non-numeric or out of range") from exc
     raise DimensionMismatchError(f"coefficient entry {entry!r} is neither a number nor {{re, im}}")
 
 
@@ -308,7 +308,12 @@ def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
             phi = float(np.arctan2(sin_phi, cos_phi))
             v_fixed = v * np.exp(1j * phi)
 
-    beta = alpha * xi**2 - spec.c
+    try:
+        beta = alpha * xi**2 - spec.c
+    except OverflowError:
+        beta = float("inf")
+    if not np.isfinite(beta):
+        raise SpecError(f"classification overflows (alpha = {alpha:.3e}, xi = {xi:.3e}): coefficients out of range")
     if real_up_to_phase and xi * abs(alpha) <= B_SPAN_TOL * spec.coefficient_scale:
         return SpectralClassification(
             kind="WignerSquare",

@@ -190,14 +190,12 @@ def spectrum(Q: np.ndarray, vectors: bool = False):
     return np.linalg.eigvalsh(Q)
 
 
-def resolvent_trace(Q_or_eigenvalues: np.ndarray, z: complex) -> complex:
-    """(1/N) tr (Q - z)^{-1} from the spectrum; no linear solve involved."""
+def resolvent_trace(eigenvalues: np.ndarray, z: complex) -> complex:
+    """(1/N) tr (Q - z)^{-1} from the eigenvalues of Q; no linear solve involved."""
     z = complex(z)
     if z.imag <= 0.0:
         raise ValueError(f"Im z must be positive, got z = {z}")
-    arr = np.asarray(Q_or_eigenvalues)
-    eigs = np.linalg.eigvalsh(arr) if arr.ndim == 2 else arr
-    return complex(np.mean(1.0 / (eigs - z)))
+    return complex(np.mean(1.0 / (np.asarray(eigenvalues) - z)))
 
 
 def build_generalized_resolvent(spec: PolynomialSpec, X, z: complex, delta: float) -> np.ndarray:
@@ -301,14 +299,12 @@ def simulate_run(
     probes = tuple(complex(z) for z in probes)
     edge_targets = tuple(float(t) for t in edge_targets)
     indices = range(cfg.trials)
-    results: dict[int, tuple] = {}
-    failures: list[tuple[int, Exception]] = []
 
     def runner(i: int):
         try:
-            return i, _run_trial(spec, cfg, probes, edge_targets, i), None
+            return _run_trial(spec, cfg, probes, edge_targets, i), None
         except Exception as exc:  # aggregated below with trial indices
-            return i, None, exc
+            return None, exc
 
     workers = trial_workers(threads, cfg.trials)
     if workers > 1:
@@ -316,20 +312,16 @@ def simulate_run(
             outcomes = list(pool.map(runner, indices))
     else:
         outcomes = [runner(i) for i in indices]
-    for i, payload, exc in outcomes:
-        if exc is not None:
-            failures.append((i, exc))
-        else:
-            results[i] = payload
+    failures = [(i, exc) for i, (_, exc) in enumerate(outcomes) if exc is not None]
     if failures:
         raise SimulationError(failures)
 
-    ordered = [results[i] for i in indices]
+    eigenvalues, norms, edge_vectors, traces = zip(*(payload for payload, _ in outcomes))
     return SimulationResult(
         config=cfg,
-        eigenvalues=[r[0] for r in ordered],
-        norms=np.array([r[1] for r in ordered]),
+        eigenvalues=list(eigenvalues),
+        norms=np.array(norms),
         edge_targets=edge_targets,
-        edge_vectors=[r[2] for r in ordered],
-        resolvent_traces=[r[3] for r in ordered],
+        edge_vectors=list(edge_vectors),
+        resolvent_traces=list(traces),
     )

@@ -13,20 +13,18 @@ import pytest
 
 from quadspec import (
     EnsembleConfig,
-    compare_ks,
+    classify_polynomial,
     compute_density,
     compute_edges,
     fit_edge_exponent,
-    quantiles,
     reducible_spec,
     simulate_run,
     solve_m,
     solve_m_delta,
-    stability_spectrum,
     validate_spec,
 )
-from quadspec.cli import NORM_SLOPE_RANGE, run_suite_norm
-from quadspec.lemmas import entrywise_real_part_violations, quad_stability_violations
+from quadspec import cli
+from quadspec.mde import beta_slopes
 from quadspec.sim import GAUSSIAN_COMPLEX, RADEMACHER
 
 SEED = 20250809
@@ -61,14 +59,9 @@ def anti_edges(anti):
 def anti_run_1024(anti, anti_edges):
     """Shared 20-trial run at N = 1024 used by criteria 7 and 8."""
     n = 1024
-    eta = n**-0.5
     cfg = EnsembleConfig(N=n, dist=GAUSSIAN_COMPLEX, seed=SEED, trials=20)
-    return simulate_run(
-        anti,
-        cfg,
-        probes=[anti_edges.tau_plus + 1j * eta],
-        edge_targets=[anti_edges.tau_plus],
-    )
+    z = anti_edges.tau_plus + 1j * n**-0.5
+    return simulate_run(anti, cfg, probes=[z], edge_targets=[anti_edges.tau_plus])
 
 
 def test_criterion_1_squared_semicircle_oracle(wsq):
@@ -143,12 +136,13 @@ def test_criterion_3_singular_exponent_table(wsq):
 
 def test_criterion_4_lemma_property_suites():
     t0 = time.perf_counter()
-    v_quad = quad_stability_violations(100_000, seed=SEED)
-    v_hat = entrywise_real_part_violations(1_000, seed=SEED)
+    report = cli.run_suite_lemmas(SEED)
     elapsed = time.perf_counter() - t0
-    ok = v_quad == 0 and v_hat == 0 and elapsed < 20.0
-    _report(4, "lemma property suites", ok, elapsed, f"quad={v_quad} hat={v_hat}")
-    assert ok, (v_quad, v_hat)
+    ok = report.passed and elapsed < 20.0
+    v = report.values
+    detail = f"quad={v['quad_stability_violations']} hat={v['entrywise_real_part_violations']}"
+    _report(4, "lemma property suites", ok, elapsed, detail)
+    assert ok, report.values
 
 
 def test_criterion_5_mde_consistency(wsq, anti, anti_edges):
@@ -160,16 +154,13 @@ def test_criterion_5_mde_consistency(wsq, anti, anti_edges):
             z = complex(rng.uniform(-5, 5), 10 ** rng.uniform(-3, 0.7))
             delta = float(rng.uniform(0, 1))
             max_residual = max(max_residual, solve_m_delta(z, delta, spec).de_residual)
-
-    kappas = (1e-2, 1e-4, 1e-6)
-    slopes = []
-    for edge, sign in ((anti_edges.tau_plus, +1), (anti_edges.tau_minus, -1)):
-        betas = [abs(stability_spectrum(edge + sign * k + 1e-10j, 0.0, anti).beta) for k in kappas]
-        slopes.append(float(np.polyfit(np.log(kappas), np.log(betas), 1)[0]))
+    slopes = beta_slopes(anti, anti_edges, classify_polynomial(anti))
     elapsed = time.perf_counter() - t0
 
-    ok = max_residual <= 1e-9 and all(abs(s - 0.5) <= 0.05 for s in slopes) and elapsed < 30.0
-    detail = f"max_residual={max_residual:.2e} slopes=({slopes[0]:.4f}, {slopes[1]:.4f})"
+    lo, hi = cli.STABILITY_SLOPE_RANGE
+    ok = max_residual <= cli.DE_RESIDUAL_THRESHOLD and len(slopes) == 2 and elapsed < 30.0
+    ok = ok and all(lo <= s <= hi for s in slopes.values())
+    detail = f"max_residual={max_residual:.2e} slopes=({slopes['right']:.4f}, {slopes['left']:.4f})"
     _report(5, "Dyson equation and stability scaling", ok, elapsed, detail)
     assert ok, detail
 
@@ -178,66 +169,46 @@ def test_criterion_6_norm_convergence_rate(wsq, anti):
     t0 = time.perf_counter()
     sizes = [256, 512, 1024, 2048]
     reports = {
-        name: run_suite_norm(spec, sizes, 50, SEED, GAUSSIAN_COMPLEX, threads=1)
+        name: cli.run_suite_norm(spec, sizes, 50, SEED, GAUSSIAN_COMPLEX, threads=1)
         for name, spec in (("squared", wsq), ("anticommutator", anti))
     }
     slopes = {name: report.norm_scaling_slope for name, report in reports.items()}
     elapsed = time.perf_counter() - t0
-    window = NORM_SLOPE_RANGE == (-0.85, -0.50)
+    window = cli.NORM_SLOPE_RANGE == (-0.85, -0.50)
     ok = window and all(report.passed for report in reports.values()) and elapsed < 1800.0
     detail = " ".join(f"{k}={v:.4f}" for k, v in slopes.items()) + " target=-0.667"
     _report(6, "norm convergence rate", ok, elapsed, detail)
     assert ok, slopes
 
 
-def test_criterion_7_density_convergence(wsq, anti, anti_run_1024):
+def test_criterion_7_density_convergence(wsq, anti, anti_edges, anti_run_1024):
     t0 = time.perf_counter()
-    ks = {}
-    curve_anti = compute_density(anti, compute_edges(anti), 512)
-    ks["anticommutator/gaussian"] = compare_ks(anti_run_1024.pooled, curve_anti)
-
+    curve_anti = compute_density(anti, anti_edges, 512)
     curve_wsq = compute_density(wsq, compute_edges(wsq), 512)
     run_wsq = simulate_run(wsq, EnsembleConfig(N=1024, dist=GAUSSIAN_COMPLEX, seed=SEED + 1, trials=20))
-    ks["squared/gaussian"] = compare_ks(run_wsq.pooled, curve_wsq)
-
     run_rad = simulate_run(anti, EnsembleConfig(N=1024, dist=RADEMACHER, seed=SEED + 2, trials=20))
-    ks["anticommutator/rademacher"] = compare_ks(run_rad.pooled, curve_anti)
+    reports = {
+        "anticommutator/gaussian": cli.judge_density(anti, curve_anti, anti_run_1024, 512),
+        "squared/gaussian": cli.judge_density(wsq, curve_wsq, run_wsq, 512),
+        "anticommutator/rademacher": cli.judge_density(anti, curve_anti, run_rad, 512),
+    }
     elapsed = time.perf_counter() - t0
 
-    ok = all(v <= 0.05 for v in ks.values()) and elapsed < 600.0
-    detail = " ".join(f"{k}={v:.4f}" for k, v in ks.items())
+    ok = all(report.passed for report in reports.values()) and elapsed < 600.0
+    detail = " ".join(f"{k}={report.ks_distance:.4f}" for k, report in reports.items())
     _report(7, "pooled-spectrum KS distance", ok, elapsed, detail)
-    assert ok, ks
+    assert ok, detail
 
 
 def test_criterion_8_local_law_surrogates(anti, anti_edges, anti_run_1024):
     t0 = time.perf_counter()
-    n = 1024
-    trials = 20
-    eta = n**-0.5
-    z = anti_edges.tau_plus + 1j * eta
-    m = solve_m(z, anti).m
-
-    ll_bound = 10.0 * n**0.05 / (n * eta)
-    ll_pass = sum(1 for traces in anti_run_1024.resolvent_traces if abs(traces[0][1] - m) <= ll_bound)
-
-    deloc_bound = 10.0 * np.log(n) / n
-    deloc_pass = 0
-    for stats in anti_run_1024.edge_vectors:
-        near = [s for s in stats[0] if abs(s.eigenvalue - anti_edges.tau_plus) <= 0.1]
-        if all(s.max_component_sq <= deloc_bound for s in near):
-            deloc_pass += 1
-
-    curve = compute_density(anti, anti_edges, 512)
-    gamma = quantiles(curve, n)
-    rig_bound = 10.0 * n ** (-2.0 / 3.0 + 0.1)
-    rig_pass = 0
-    for eigs in anti_run_1024.eigenvalues:
-        if max(abs(eigs[n - 1 - k] - gamma[n - 1 - k]) for k in range(3)) <= rig_bound:
-            rig_pass += 1
+    deloc = cli.judge_deloc(anti, anti_run_1024)
+    rigidity = cli.judge_rigidity(anti, compute_density(anti, anti_edges, 512), anti_run_1024, 512)
     elapsed = time.perf_counter() - t0
 
-    ok = ll_pass >= 18 and deloc_pass >= 18 and rig_pass >= 18 and elapsed < 600.0
-    detail = f"trace_ll={ll_pass}/{trials} deloc={deloc_pass}/{trials} rigidity={rig_pass}/{trials}"
+    ok = deloc.passed and rigidity.passed and elapsed < 600.0
+    v, t = deloc.values, anti_run_1024.config.trials
+    detail = f"trace_ll={v['trace_local_law_passes']}/{t} deloc={v['delocalization_passes']}/{t} "
+    detail += f"rigidity={rigidity.values['passes']}/{t}"
     _report(8, "local law, delocalization, rigidity", ok, elapsed, detail)
     assert ok, detail

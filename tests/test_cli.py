@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quadspec import compute_density, compute_edges, quantiles
 from quadspec.cli import EXIT_CRITERIA, EXIT_INFRA, EXIT_INPUT, EXIT_OK, compare_ks, main
@@ -109,10 +111,13 @@ def test_classify_invalid_spec(tmp_path, capsys):
     ],
     ids=["plain", "re-im", "complex", "non-numeric"],
 )
-def test_classify_b_entries(b, error, tmp_path, capsys):
-    path = tmp_path / "b.json"
-    path.write_text(json.dumps({"l": 1, "A": [[{"re": 1, "im": 0}]], "b": b, "c": 0}))
-    code = main(["classify", "--spec", str(path)])
+def test_classify_b_entries(b, error, capsys):
+    _assert_classifies({"l": 1, "A": [[{"re": 1, "im": 0}]], "b": b, "c": 0}, error, capsys)
+
+
+def _assert_classifies(spec, error, capsys):
+    """A Wigner square when ``error`` is None, else an input error starting with it."""
+    code = main(["classify", "--spec", json.dumps(spec)])
     captured = capsys.readouterr()
     if error is None:
         assert code == EXIT_OK
@@ -132,17 +137,50 @@ def test_classify_b_entries(b, error, tmp_path, capsys):
     ],
     ids=["plain", "re-im", "complex", "non-numeric"],
 )
-def test_classify_c_entries(c, error, tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"l": 1, "A": [[{"re": 1, "im": 0}]], "b": [0], "c": c}))
-    code = main(["classify", "--spec", str(path)])
-    captured = capsys.readouterr()
-    if error is None:
-        assert code == EXIT_OK
-        assert json.loads(captured.out)["kind"] == "WignerSquare"
-    else:
-        assert code == EXIT_INPUT
-        assert captured.err.startswith(f"input error: {error}")
+def test_classify_c_entries(c, error, capsys):
+    _assert_classifies({"l": 1, "A": [[{"re": 1, "im": 0}]], "b": [0], "c": c}, error, capsys)
+
+
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+@pytest.mark.parametrize(
+    "spec",
+    ['{"l":1,"A":[[1]],"b":[1e200],"c":0}', '{"l":1,"A":[[1e-100]],"b":[1e100],"c":0}'],
+    ids=["large-b", "small-alpha"],
+)
+def test_classification_overflow_is_input_error(command, spec, tmp_path, capsys):
+    # ||b||^2 / |alpha| overflows a double, so beta = alpha xi^2 - c does too
+    out = ["--out", str(tmp_path / "o")] if command == "analyze" else []
+    assert main([command, "--spec", spec, *out]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+_numbers = st.one_of(
+    st.floats(1e-320, 1e308), st.floats(-1e308, -1e-320), st.integers(-3, 3), st.integers(-(10**400), 10**400)
+)
+_parts = _numbers | st.none() | st.text(max_size=3) | st.lists(_numbers, max_size=1)
+_entries = _parts | st.booleans() | st.fixed_dictionaries({}, optional={"re": _parts, "im": _parts})
+_wild_specs = st.fixed_dictionaries({}, optional={
+    "l": st.integers(-1, 4) | st.floats(-9, 9) | st.text(max_size=2) | st.none(),
+    "A": st.lists(st.lists(_entries, max_size=3), max_size=3) | _entries,
+    "b": st.lists(_entries, max_size=3) | _entries,
+    "c": _entries,
+})
+
+
+@st.composite
+def _shaped_specs(draw):
+    """Specs of the right shape with a real symmetric A, so most reach classification."""
+    l = draw(st.integers(1, 3))
+    upper = {(i, j): draw(_numbers) for i in range(l) for j in range(i, l)}
+    A = [[upper[min(i, j), max(i, j)] for j in range(l)] for i in range(l)]
+    return {"l": l, "A": A, "b": [draw(_numbers) for _ in range(l)], "c": draw(_numbers)}
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_shaped_specs(), _wild_specs))
+def test_classify_exit_code_contract(spec):
+    assert main(["classify", "--spec", json.dumps(spec)]) in (EXIT_OK, EXIT_INPUT, EXIT_INFRA, EXIT_CRITERIA)
 
 
 def test_analyze_squared_wigner(wsq_file, tmp_path, capsys):
@@ -262,8 +300,7 @@ def test_verify_density_small(anti_file, tmp_path, capsys):
     )
     assert code == EXIT_OK
     report = json.loads(open(prefix + "_report.json").read())
-    assert report["ks_distance"] <= 0.05
-    assert report["pass_flags"]["ks_distance"] is True
+    assert report["pass_flags"] == {"ks_distance": True, "mass": True}
 
 
 def test_verify_failure_exit_code(anti_file, tmp_path, monkeypatch):
@@ -289,11 +326,9 @@ def test_verify_stability_rejects_wigner_square(wsq_file, tmp_path):
 def test_verify_stability_anticommutator(anti_file, tmp_path):
     prefix = str(tmp_path / "st")
     code = main(["verify", "--suite", "stability", "--spec", anti_file, "--seed", "3", "--out", prefix])
-    assert code == EXIT_OK
+    assert code == EXIT_OK  # every pass flag holds, the slope at both edges among them
     report = json.loads(open(prefix + "_report.json").read())
-    assert report["values"]["max_de_residual"] <= 1e-9
-    for slope in report["values"]["beta_slopes"].values():
-        assert 0.45 <= slope <= 0.55
+    assert set(report["values"]["beta_slopes"]) == {"left", "right"}
 
 
 def test_compare_ks_quantile_construction(wigner_square_spec):

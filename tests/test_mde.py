@@ -3,10 +3,10 @@ import pytest
 
 from quadspec import (
     build_linearization,
+    classify_polynomial,
     compute_edges,
     gamma_operator,
     m_matrix,
-    regularized_spec,
     solve_m,
     solve_m_delta,
     stability_spectrum,
@@ -19,6 +19,7 @@ from quadspec.mde import (
     _gamma_delta_and_prime,
     _gamma_matrix,
     a_is_singular,
+    beta_slopes,
     stability_operator_matrix,
 )
 from quadspec.scalar import MAX_NEWTON_ITERATIONS, RESIDUAL_RTOL, NoConvergenceError
@@ -83,7 +84,7 @@ def test_linearization_singular_a():
     assert a_is_singular(spec)
     with pytest.raises(SingularAError):
         build_linearization(spec)
-    reg = regularized_spec(spec)
+    reg = validate_spec(2, spec.A + 1e-7 * spec.norm_a * np.eye(2), spec.b, spec.c)
     assert not a_is_singular(reg)
     assert np.min(np.abs(reg.eig_a)) >= 1e-8
     build_linearization(reg)  # must not raise
@@ -220,13 +221,9 @@ def test_stability_critical_directions(anticommutator_spec, anti_edges):
 
 
 def test_stability_square_root_scaling(anticommutator_spec, anti_edges):
-    kappas = (1e-2, 1e-4, 1e-6)
-    for edge, sign in ((anti_edges.tau_plus, +1), (anti_edges.tau_minus, -1)):
-        betas = [
-            abs(stability_spectrum(edge + sign * k + 1e-10j, 0.0, anticommutator_spec).beta)
-            for k in kappas
-        ]
-        slope = np.polyfit(np.log(kappas), np.log(betas), 1)[0]
+    slopes = beta_slopes(anticommutator_spec, anti_edges, classify_polynomial(anticommutator_spec))
+    assert set(slopes) == {"left", "right"}
+    for slope in slopes.values():
         assert slope == pytest.approx(0.5, abs=0.05)
 
 
@@ -254,8 +251,9 @@ def test_stability_delta_independent_at_edge(anticommutator_spec, anti_edges):
 
 
 def test_stability_regularized_rank_one(complex_half_spec):
-    # singular A goes through the epsilon-perturbation path
-    reg = regularized_spec(complex_half_spec)
+    # singular A goes through the epsilon-perturbation path, A + 1e-7 ||A|| I
+    spec = complex_half_spec
+    reg = validate_spec(spec.l, spec.A + 1e-7 * spec.norm_a * np.eye(spec.l), spec.b, spec.c)
     edges = compute_edges(reg)
     st = stability_spectrum(edges.tau_plus + 1e-8j, 0.0, reg)
     assert abs(st.beta) <= 1e-2

@@ -107,15 +107,16 @@ def test_spectrum_trace_and_vectors():
 
 
 def test_resolvent_trace_examples():
-    assert resolvent_trace(np.zeros((3, 3)), 1j) == pytest.approx(1j, abs=1e-15)
-    assert resolvent_trace(np.eye(3), 1 + 1j) == pytest.approx(1j, abs=1e-15)
+    assert resolvent_trace(np.zeros(3), 1j) == pytest.approx(1j, abs=1e-15)
+    assert resolvent_trace(np.ones(3), 1 + 1j) == pytest.approx(1j, abs=1e-15)
     rng = np.random.default_rng(4)
     g = rng.standard_normal((32, 32))
     q = 0.5 * (g + g.T)
+    eigs = np.linalg.eigvalsh(q)
     for z in (0.5 + 0.2j, -1 + 1j):
-        assert resolvent_trace(q, z).imag > 0
+        assert resolvent_trace(eigs, z).imag > 0
     with pytest.raises(ValueError):
-        resolvent_trace(q, 1 - 1j)
+        resolvent_trace(eigs, 1 - 1j)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +155,7 @@ def test_generalized_resolvent_corner_block(anticommutator_spec, anti_sample):
     z = 1.3 + 0.7j
     bt = build_generalized_resolvent(anticommutator_spec, anti_sample, z, 0.0)
     q = assemble_polynomial(anticommutator_spec, anti_sample)
-    assert abs(bt[0, 0] - resolvent_trace(q, z)) <= 1e-10
+    assert abs(bt[0, 0] - resolvent_trace(np.linalg.eigvalsh(q), z)) <= 1e-10
 
 
 def test_generalized_resolvent_near_deterministic_limit(wigner_square_spec):
