@@ -420,9 +420,19 @@ def cmd_analyze(args) -> int:
         except InsufficientPointsError:
             exponents[side] = None
 
-    edges_payload = asdict(edges) | {
+    edges_payload = {
+        "tau_plus": edges.tau_plus,
+        "tau_minus": edges.tau_minus,
+        "m_plus": edges.m_plus,
+        "m_minus": edges.m_minus,
+        "left_edge_regular": edges.left_edge_regular,
+        "right_edge_regular": edges.right_edge_regular,
+        "left_exponent": edges.left_exponent,
+        "right_exponent": edges.right_exponent,
         "fitted_exponent_left": exponents["left"],
         "fitted_exponent_right": exponents["right"],
+        "h_prime_at_roots": list(edges.h_prime_at_roots),
+        "tau_star": edges.tau_star,
         "mass": curve.mass,
         "classification": classification.to_json_dict(),
     }

@@ -206,7 +206,8 @@ def test_criterion_8_local_law_surrogates(anti, anti_edges, anti_run_1024):
     rigidity = cli.judge_rigidity(anti, compute_density(anti, anti_edges, 512), anti_run_1024, 512)
     elapsed = time.perf_counter() - t0
 
-    ok = deloc.passed and rigidity.passed and elapsed < 600.0
+    needed = {deloc.thresholds["passes_needed"], rigidity.thresholds["passes_needed"]}
+    ok = needed == {18} and deloc.passed and rigidity.passed and elapsed < 600.0
     v, t = deloc.values, anti_run_1024.config.trials
     detail = f"trace_ll={v['trace_local_law_passes']}/{t} deloc={v['delocalization_passes']}/{t} "
     detail += f"rigidity={rigidity.values['passes']}/{t}"

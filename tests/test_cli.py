@@ -1,13 +1,20 @@
 import json
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import quadspec.cli as cli_module
 from quadspec import compute_density, compute_edges, quantiles
-from quadspec.cli import EXIT_CRITERIA, EXIT_INFRA, EXIT_INPUT, EXIT_OK, compare_ks, main
+from quadspec.cli import EXIT_CRITERIA, EXIT_INFRA, EXIT_INPUT, EXIT_OK, build_parser, compare_ks, main, spec_digest
 from quadspec.density import MassDeficitError
+from quadspec.edges import InconsistentClassificationError
+from quadspec.model import load_spec
+from quadspec.scalar import NoConvergenceError
+from quadspec.sim import AsymmetryBlowupError, SimulationError, trial_workers
 
 
 @pytest.fixture()
@@ -67,11 +74,24 @@ def test_classify_malformed_json(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+def _assert_classifies(arg, error, capsys):
+    """A Wigner square when ``error`` is None, else an input error starting with it; returns stderr."""
+    code = main(["classify", "--spec", arg])
+    captured = capsys.readouterr()
+    if error is None:
+        assert code == EXIT_OK
+        assert json.loads(captured.out)["kind"] == "WignerSquare"
+    else:
+        assert code == EXIT_INPUT
+        assert captured.err.startswith(f"input error: {error}")
+    return captured.err
+
+
 @pytest.mark.parametrize(
     "source, error",
     [
-        ("directory", "input error: cannot read spec file"),
-        ("missing", "input error: cannot read spec file"),
+        ("directory", "cannot read spec file"),
+        ("missing", "cannot read spec file"),
         ("inline", None),
         ("file", None),
     ],
@@ -84,15 +104,8 @@ def test_classify_spec_source(source, error, wsq_file, tmp_path, capsys):
         "inline": '  {"l": 1, "A": [[1]], "b": [0], "c": 0}',
         "file": wsq_file,
     }[source]
-    code = main(["classify", "--spec", arg])
-    captured = capsys.readouterr()
-    if error is None:
-        assert code == EXIT_OK
-        assert json.loads(captured.out)["kind"] == "WignerSquare"
-    else:
-        assert code == EXIT_INPUT
-        assert captured.err.startswith(error)
-        assert arg in captured.err
+    err = _assert_classifies(arg, error, capsys)
+    assert error is None or arg in err
 
 
 def test_classify_invalid_spec(tmp_path, capsys):
@@ -112,19 +125,7 @@ def test_classify_invalid_spec(tmp_path, capsys):
     ids=["plain", "re-im", "complex", "non-numeric"],
 )
 def test_classify_b_entries(b, error, capsys):
-    _assert_classifies({"l": 1, "A": [[{"re": 1, "im": 0}]], "b": b, "c": 0}, error, capsys)
-
-
-def _assert_classifies(spec, error, capsys):
-    """A Wigner square when ``error`` is None, else an input error starting with it."""
-    code = main(["classify", "--spec", json.dumps(spec)])
-    captured = capsys.readouterr()
-    if error is None:
-        assert code == EXIT_OK
-        assert json.loads(captured.out)["kind"] == "WignerSquare"
-    else:
-        assert code == EXIT_INPUT
-        assert captured.err.startswith(f"input error: {error}")
+    _assert_classifies(json.dumps({"l": 1, "A": [[{"re": 1, "im": 0}]], "b": b, "c": 0}), error, capsys)
 
 
 @pytest.mark.parametrize(
@@ -138,7 +139,7 @@ def _assert_classifies(spec, error, capsys):
     ids=["plain", "re-im", "complex", "non-numeric"],
 )
 def test_classify_c_entries(c, error, capsys):
-    _assert_classifies({"l": 1, "A": [[{"re": 1, "im": 0}]], "b": [0], "c": c}, error, capsys)
+    _assert_classifies(json.dumps({"l": 1, "A": [[{"re": 1, "im": 0}]], "b": [0], "c": c}), error, capsys)
 
 
 @pytest.mark.parametrize("command", ["classify", "analyze"])
@@ -217,9 +218,6 @@ def test_analyze_complex_threshold_exponent(complex_file, tmp_path):
 
 
 def test_analyze_solver_failure_is_infra(wsq_file, tmp_path, monkeypatch, capsys):
-    from quadspec.scalar import NoConvergenceError
-    import quadspec.cli as cli_module
-
     def broken(spec, n_grid):
         raise NoConvergenceError(1.0 + 1e-9j, 1.0)
 
@@ -230,8 +228,6 @@ def test_analyze_solver_failure_is_infra(wsq_file, tmp_path, monkeypatch, capsys
 
 
 def test_verify_lemmas_pass_and_determinism(tmp_path, capsys):
-    import time
-
     p1 = str(tmp_path / "a")
     p2 = str(tmp_path / "b")
     t0 = time.perf_counter()
@@ -245,8 +241,6 @@ def test_verify_lemmas_pass_and_determinism(tmp_path, capsys):
 
 
 def test_threads_default_from_environment(monkeypatch):
-    from quadspec.cli import build_parser
-
     monkeypatch.setenv("QUADSPEC_THREADS", "3")
     args = build_parser().parse_args(["verify", "--suite", "lemmas"])
     assert args.threads == 3
@@ -281,8 +275,6 @@ def test_verify_rejects_bad_n_list(n_list, wsq_file, tmp_path, capsys):
     ids=["verify", "analyze"],
 )
 def test_missing_output_directory_fails_before_compute(argv, compute, wsq_file, tmp_path, monkeypatch, capsys):
-    import quadspec.cli as cli_module
-
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{compute} ran before the output directory was checked")
 
@@ -300,12 +292,11 @@ def test_verify_density_small(anti_file, tmp_path, capsys):
     )
     assert code == EXIT_OK
     report = json.loads(open(prefix + "_report.json").read())
+    assert report["ks_distance"] <= 0.05
     assert report["pass_flags"] == {"ks_distance": True, "mass": True}
 
 
 def test_verify_failure_exit_code(anti_file, tmp_path, monkeypatch):
-    import quadspec.cli as cli_module
-
     monkeypatch.setattr(cli_module, "KS_THRESHOLD", -1.0)
     prefix = str(tmp_path / "f")
     code = main(
@@ -326,9 +317,19 @@ def test_verify_stability_rejects_wigner_square(wsq_file, tmp_path):
 def test_verify_stability_anticommutator(anti_file, tmp_path):
     prefix = str(tmp_path / "st")
     code = main(["verify", "--suite", "stability", "--spec", anti_file, "--seed", "3", "--out", prefix])
-    assert code == EXIT_OK  # every pass flag holds, the slope at both edges among them
+    assert code == EXIT_OK
     report = json.loads(open(prefix + "_report.json").read())
+    assert report["values"]["max_de_residual"] <= 1e-9
     assert set(report["values"]["beta_slopes"]) == {"left", "right"}
+    for slope in report["values"]["beta_slopes"].values():
+        assert 0.45 <= slope <= 0.55
+
+
+def test_verify_thresholds():
+    # the acceptance criteria judge through these, so a loosened bound must fail here
+    c = cli_module
+    assert (c.KS_THRESHOLD, c.DE_RESIDUAL_THRESHOLD, c.TRIAL_PASS_FRACTION) == (0.05, 1e-9, 0.9)
+    assert (c.STABILITY_SLOPE_RANGE, c.NORM_SLOPE_RANGE) == ((0.45, 0.55), (-0.85, -0.50))
 
 
 def test_compare_ks_quantile_construction(wigner_square_spec):
@@ -352,8 +353,6 @@ def test_compare_ks_duplication_invariance(wigner_square_spec):
 
 
 def test_compare_ks_mass_deficit(wigner_square_spec):
-    from dataclasses import replace
-
     curve = compute_density(wigner_square_spec, compute_edges(wigner_square_spec), 512)
     with pytest.raises(MassDeficitError):
         compare_ks(np.array([1.0]), replace(curve, mass=0.5))
@@ -372,9 +371,6 @@ def test_spec_hash_in_report_stable_under_reordering(tmp_path):
     b = tmp_path / "b.json"
     a.write_text('{"l": 1, "A": [[{"re": 1, "im": 0}]], "b": [0], "c": 1}')
     b.write_text('{"c": 1, "b": [0], "A": [[{"im": 0, "re": 1}]], "l": 1}')
-    from quadspec.cli import spec_digest
-    from quadspec.model import load_spec
-
     assert spec_digest(load_spec(a)) == spec_digest(load_spec(b))
 
 
@@ -387,10 +383,6 @@ def test_spec_hash_in_report_stable_under_reordering(tmp_path):
     ],
 )
 def test_verify_simulation_errors_are_infra(attr, error, wsq_file, tmp_path, monkeypatch, capsys):
-    import quadspec.cli as cli_module
-    from quadspec.edges import InconsistentClassificationError
-    from quadspec.sim import AsymmetryBlowupError, SimulationError
-
     exc = {
         "simulation": SimulationError([(1, RuntimeError("boom"))]),
         "asymmetry": AsymmetryBlowupError("non-Hermitian input"),
@@ -411,8 +403,6 @@ def test_verify_simulation_errors_are_infra(attr, error, wsq_file, tmp_path, mon
 
 @pytest.mark.parametrize("value", ["-0.1", "0", "nan", "inf", "x"])
 def test_verify_rejects_bad_eta_before_compute(value, wsq_file, tmp_path, monkeypatch, capsys):
-    import quadspec.cli as cli_module
-
     def must_not_run(*args, **kwargs):
         raise AssertionError("compute_edges ran before --eta was checked")
 
@@ -432,8 +422,6 @@ def test_verify_rejects_threads_below_one(value, tmp_path, capsys):
 
 
 def test_verify_report_independent_of_threads(anti_file, tmp_path):
-    from quadspec.sim import trial_workers
-
     reports = []
     for threads in (1, 2):
         prefix = str(tmp_path / f"t{threads}")
