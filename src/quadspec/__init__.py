@@ -48,7 +48,6 @@ from .sim import (
     simulate_run,
     spectrum,
 )
-from .cli import ComparisonReport, compare_ks
 
 __all__ = [
     "PolynomialSpec",
@@ -87,8 +86,6 @@ __all__ = [
     "resolvent_trace",
     "build_generalized_resolvent",
     "simulate_run",
-    "ComparisonReport",
-    "compare_ks",
 ]
 
 __version__ = "0.1.0"

@@ -42,6 +42,7 @@ from .sim import (
     EnsembleConfig,
     SimulationError,
     SimulationResult,
+    resolvent_trace,
     simulate_run,
     trial_workers,
 )
@@ -200,28 +201,27 @@ def run_suite_norm(spec, n_list, trials, seed, dist, threads) -> ComparisonRepor
 
 def run_suite_deloc(spec, n, trials, seed, dist, eta, threads) -> ComparisonReport:
     edges = compute_edges(spec)
-    eta = eta if eta is not None else n**-0.5
-    z = edges.tau_plus + 1j * eta
     cfg = EnsembleConfig(N=n, dist=dist, seed=seed, trials=trials)
-    result = simulate_run(spec, cfg, probes=[z], edge_targets=[edges.tau_plus], threads=threads)
-    return judge_deloc(spec, result)
+    result = simulate_run(spec, cfg, edge_target=edges.tau_plus, threads=threads)
+    return judge_deloc(spec, result, eta)
 
 
-def judge_deloc(spec, result: SimulationResult) -> ComparisonReport:
-    """Trace local law at the run's probe z and delocalization near its edge target."""
+def judge_deloc(spec, result: SimulationResult, eta: float | None = None) -> ComparisonReport:
+    """Trace local law at z = edge target + i eta (eta defaults to N^(-1/2)) and
+    delocalization near the edge target."""
     n, trials = result.config.N, result.config.trials
-    z = result.resolvent_traces[0][0][0]
-    edge = result.edge_targets[0]
-    eta = z.imag
+    edge = result.edge_target
+    eta = eta if eta is not None else n**-0.5
+    z = edge + 1j * eta
     m = solve_m(z, spec).m
     ll_bound = 10.0 * n**0.05 / (n * eta)
     deloc_bound = 10.0 * np.log(n) / n
     ll_pass = 0
     deloc_pass = 0
-    for traces, stats in zip(result.resolvent_traces, result.edge_vectors):
-        if abs(traces[0][1] - m) <= ll_bound:
+    for eigs, stats in zip(result.eigenvalues, result.edge_vectors):
+        if abs(resolvent_trace(eigs, z) - m) <= ll_bound:
             ll_pass += 1
-        near = [s for s in stats[0] if abs(s.eigenvalue - edge) <= 0.1]
+        near = [s for s in stats if abs(s.eigenvalue - edge) <= 0.1]
         if all(s.max_component_sq <= deloc_bound for s in near):
             deloc_pass += 1
     needed = _pass_count_needed(trials)

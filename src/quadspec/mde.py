@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eig
 
 from .edges import EdgeReport
 from .model import PolynomialSpec, SpectralClassification, classify_polynomial
@@ -246,15 +247,12 @@ def stability_spectrum(z: complex, delta: float, spec: PolynomialSpec,
     sol = solve_m_delta(z, delta, spec)
     op = stability_operator_matrix(sol.M, spec)
 
-    eigvals, right = np.linalg.eig(op)
+    eigvals, left, right = eig(op, left=True, right=True)
     order = np.argsort(np.abs(eigvals))
     beta = eigvals[order[0]]
     beta_gap = float(np.abs(eigvals[order[1]])) if len(order) > 1 else float("inf")
     B_vec = right[:, order[0]]
-
-    eigvals_adj, left = np.linalg.eig(op.conj().T)
-    j = int(np.argmin(np.abs(eigvals_adj - np.conj(beta))))
-    L_vec = left[:, j]
+    L_vec = left[:, order[0]]
 
     hs = np.sqrt(n)
     B = (B_vec / (np.linalg.norm(B_vec) / hs)).reshape(n, n)

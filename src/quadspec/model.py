@@ -136,9 +136,10 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
     """Validate raw coefficients and build the cached spec.
 
     Symmetrizes A when the deviation from Hermiticity is below
-    ``HERMITICITY_RTOL * ||A||`` and rejects it otherwise.  Eigendata of A and
-    A_hat are computed here, together with the squared projections of b onto
-    the A_hat eigenbasis.
+    ``HERMITICITY_RTOL * ||A||`` and rejects it otherwise, and rejects an A
+    whose symmetrized form or eigendata overflow.  Eigendata of A and A_hat are
+    computed here, together with the squared projections of b onto the A_hat
+    eigenbasis.
     """
     if not isinstance(l, (int, np.integer)) or l < 1:
         raise DimensionMismatchError(f"l must be a positive integer, got {l!r}")
@@ -157,17 +158,22 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
     if not (np.all(np.isfinite(A.real)) and np.all(np.isfinite(A.imag)) and np.all(np.isfinite(b_arr)) and np.isfinite(c)):
         raise SpecError("coefficients must be finite")
 
-    norm_a = np.linalg.norm(A)
-    if norm_a == 0.0:
+    scale = max(float(np.max(np.abs(A.real))), float(np.max(np.abs(A.imag))))
+    if scale == 0.0:
         raise ZeroAError("A must be nonzero")
-    asym = np.linalg.norm(A - A.conj().T)
-    if asym > HERMITICITY_RTOL * norm_a:
-        raise NonHermitianError(f"||A - A*|| = {asym:.3e} exceeds {HERMITICITY_RTOL:.0e} * ||A||")
+    # the norms of A itself overflow past about 1e154, and numpy divides a complex
+    # array by a real scale through 1 / scale, which overflows for subnormal A
+    unit = A.real / scale + 1j * (A.imag / scale)
+    asym = np.linalg.norm(unit - unit.conj().T) / np.linalg.norm(unit)
+    if asym > HERMITICITY_RTOL:
+        raise NonHermitianError(f"||A - A*|| / ||A|| = {asym:.3e} exceeds {HERMITICITY_RTOL:.0e}")
     A = 0.5 * (A + A.conj().T)
 
     A_hat = np.ascontiguousarray(0.5 * (A + A.T).real)
     eig_a, vec_a = np.linalg.eigh(A)
     eig_a_hat, vec_a_hat = np.linalg.eigh(A_hat)
+    if not all(np.all(np.isfinite(x)) for x in (A, A_hat, eig_a, vec_a, eig_a_hat, vec_a_hat)):
+        raise SpecError(f"A is out of range: its symmetrized form or eigendata overflow (max |A_ij| = {scale:.3e})")
     b_proj = np.abs(vec_a_hat.T @ b_arr) ** 2
     mu = eig_a[np.abs(eig_a) > EIG_ZERO_RTOL * max(float(np.max(np.abs(eig_a))), 1e-300)]
     keep = b_proj > B_PROJ_RTOL * max(float(np.linalg.norm(b_arr)) ** 2, 1e-300)

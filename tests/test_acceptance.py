@@ -58,10 +58,8 @@ def anti_edges(anti):
 @pytest.fixture(scope="module")
 def anti_run_1024(anti, anti_edges):
     """Shared 20-trial run at N = 1024 used by criteria 7 and 8."""
-    n = 1024
-    cfg = EnsembleConfig(N=n, dist=GAUSSIAN_COMPLEX, seed=SEED, trials=20)
-    z = anti_edges.tau_plus + 1j * n**-0.5
-    return simulate_run(anti, cfg, probes=[z], edge_targets=[anti_edges.tau_plus])
+    cfg = EnsembleConfig(N=1024, dist=GAUSSIAN_COMPLEX, seed=SEED, trials=20)
+    return simulate_run(anti, cfg, edge_target=anti_edges.tau_plus)
 
 
 def test_criterion_1_squared_semicircle_oracle(wsq):

@@ -145,14 +145,27 @@ def test_classify_c_entries(c, error, capsys):
 @pytest.mark.parametrize("command", ["classify", "analyze"])
 @pytest.mark.parametrize(
     "spec",
-    ['{"l":1,"A":[[1]],"b":[1e200],"c":0}', '{"l":1,"A":[[1e-100]],"b":[1e100],"c":0}'],
-    ids=["large-b", "small-alpha"],
+    [
+        '{"l":1,"A":[[1]],"b":[1e200],"c":0}',
+        '{"l":1,"A":[[1e-100]],"b":[1e100],"c":0}',
+        '{"l":2,"A":[[0,1e200],[0,0]],"b":[0,0],"c":0}',
+        '{"l":2,"A":[[0,1e308],[1e308,0]],"b":[0,0],"c":0}',
+    ],
+    ids=["large-b", "small-alpha", "huge-non-hermitian-A", "overflowing-A"],
 )
 def test_classification_overflow_is_input_error(command, spec, tmp_path, capsys):
-    # ||b||^2 / |alpha| overflows a double, so beta = alpha xi^2 - c does too
+    # ||b||^2 / |alpha| overflows a double, so beta = alpha xi^2 - c does too;
+    # so do ||A|| and ||A - A*|| of the huge A, and A + A* of the overflowing one
     out = ["--out", str(tmp_path / "o")] if command == "analyze" else []
     assert main([command, "--spec", spec, *out]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_analyze_overflowing_scale_is_input_error(tmp_path, capsys):
+    # ||b|| overflows, so the continuation would start at eta = inf and never come down
+    spec = '{"l":2,"A":[[-2,1],[1,2]],"b":[1e160,0],"c":0}'
+    assert main(["analyze", "--spec", spec, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert "out of range" in capsys.readouterr().err
 
 
 _numbers = st.one_of(
@@ -178,10 +191,11 @@ def _shaped_specs(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(_shaped_specs(), _wild_specs))
-def test_classify_exit_code_contract(spec):
-    assert main(["classify", "--spec", json.dumps(spec)]) in (EXIT_OK, EXIT_INPUT, EXIT_INFRA, EXIT_CRITERIA)
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([["classify"], ["analyze", "--n-grid", "64"]]), st.one_of(_shaped_specs(), _wild_specs))
+def test_classify_exit_code_contract(tmp_path, command, spec):
+    out = ["--out", str(tmp_path / "o")] if command[0] == "analyze" else []
+    assert main([*command, "--spec", json.dumps(spec), *out]) in (EXIT_OK, EXIT_INPUT, EXIT_INFRA, EXIT_CRITERIA)
 
 
 def test_analyze_squared_wigner(wsq_file, tmp_path, capsys):
@@ -421,12 +435,14 @@ def test_verify_rejects_threads_below_one(value, tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
-def test_verify_report_independent_of_threads(anti_file, tmp_path):
+@pytest.mark.parametrize("suite", [["density"], ["deloc", "--dist", "rademacher"]], ids=["density", "deloc"])
+def test_verify_report_independent_of_threads(suite, anti_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one BLAS thread per call, so --threads 2 runs two trials at once
     reports = []
     for threads in (1, 2):
         prefix = str(tmp_path / f"t{threads}")
         code = main(
-            ["verify", "--suite", "density", "--spec", anti_file, "--N", "512", "--trials", "2",
+            ["verify", "--suite", *suite, "--spec", anti_file, "--N", "512", "--trials", "2",
              "--seed", "3", "--threads", str(threads), "--out", prefix]
         )
         assert code in (EXIT_OK, EXIT_CRITERIA)

@@ -37,6 +37,14 @@ def test_zero_a_rejected():
 def test_non_hermitian_rejected():
     with pytest.raises(NonHermitianError):
         validate_spec(2, [[0, 1], [0, 0]], [0, 0], 0.0)
+    with pytest.raises(NonHermitianError):  # ||A|| and ||A - A*|| overflow; the check compares them scaled
+        validate_spec(2, [[0, 1e200], [0, 0]], [0, 0], 0.0)
+
+
+def test_huge_hermitian_accepted():
+    spec = validate_spec(2, [[0, 1e200], [1e200, 0]], [0, 0], 0.0)
+    assert np.allclose(spec.eig_a, [-1e200, 1e200], rtol=1e-14, atol=0)
+    assert classify_polynomial(spec).kind == "NonReducible"
 
 
 def test_sub_threshold_asymmetry_is_symmetrized():
@@ -54,6 +62,8 @@ def test_dimension_mismatch():
 def test_non_finite_rejected():
     with pytest.raises(SpecError):
         validate_spec(1, [[np.inf]], [0.0], 0.0)
+    with pytest.raises(SpecError, match="A is out of range"):  # finite A whose A + A* overflows
+        validate_spec(2, [[0, 1e308], [1e308, 0]], [0, 0], 0.0)
 
 
 def test_eigendata_invariants_random():

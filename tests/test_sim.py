@@ -169,12 +169,11 @@ def test_generalized_resolvent_near_deterministic_limit(wigner_square_spec):
 
 def test_simulate_run_determinism(wigner_square_spec):
     cfg = EnsembleConfig(N=128, dist=GAUSSIAN_COMPLEX, seed=9, trials=3)
-    a = simulate_run(wigner_square_spec, cfg, probes=[2 + 0.1j])
-    b = simulate_run(wigner_square_spec, cfg, probes=[2 + 0.1j])
+    a = simulate_run(wigner_square_spec, cfg)
+    b = simulate_run(wigner_square_spec, cfg)
     assert all(np.array_equal(x, y) for x, y in zip(a.eigenvalues, b.eigenvalues))
     assert np.array_equal(a.norms, b.norms)
-    assert a.resolvent_traces == b.resolvent_traces
-    c = simulate_run(wigner_square_spec, cfg, probes=[2 + 0.1j], threads=2)
+    c = simulate_run(wigner_square_spec, cfg, threads=2)
     assert all(np.array_equal(x, y) for x, y in zip(a.eigenvalues, c.eigenvalues))
 
 
@@ -212,9 +211,8 @@ def test_complex_direction_edges_match_sampled_spectrum(complex_half_spec, compl
 def test_simulate_run_edge_vectors(wigner_square_spec):
     rep = compute_edges(wigner_square_spec)
     cfg = EnsembleConfig(N=128, dist=GAUSSIAN_COMPLEX, seed=4, trials=2)
-    result = simulate_run(wigner_square_spec, cfg, edge_targets=[rep.tau_plus])
-    for trial_stats in result.edge_vectors:
-        stats = trial_stats[0]
+    result = simulate_run(wigner_square_spec, cfg, edge_target=rep.tau_plus)
+    for stats in result.edge_vectors:
         assert len(stats) == 8
         for s in stats:
             assert 0.0 < s.max_component_sq <= 1.0
@@ -329,7 +327,7 @@ _DENSE_CASES = [
 def test_trial_eigenvalues_match_dense_assembly(make_spec, dist):
     spec = make_spec()
     cfg = EnsembleConfig(N=200, dist=dist, seed=13, trials=1)
-    eigenvalues, norm, _, _ = _run_trial(spec, cfg, (), (), 0)
+    eigenvalues, norm, _ = _run_trial(spec, cfg, None, 0)
     rng = trial_rng(cfg.seed, 0)
     X = [_oracle_sample_wigner(cfg.N, cfg.dist, rng) for _ in range(spec.l)]
     if spec.l > 1:  # Q is complex exactly when A or the law is
@@ -344,7 +342,7 @@ def test_trial_eigenvalues_match_dense_assembly(make_spec, dist):
     # edge eigenvector statistics: columns follow their (re-sorted) eigenvalues
     ref_vals, ref_vecs = np.linalg.eigh(_oracle_assemble(spec, X))
     target = ref_vals[-1]
-    _, _, (stats,), _ = _run_trial(spec, cfg, (), (target,), 0)
+    _, _, stats = _run_trial(spec, cfg, target, 0)
     order = np.argsort(np.abs(ref_vals - target))[:8]
     for stat, k in zip(stats, order):
         assert stat.eigenvalue == pytest.approx(ref_vals[k], abs=1e-12 * scale)
