@@ -42,7 +42,6 @@ from .sim import (
     EnsembleConfig,
     SimulationResult,
     assemble_polynomial,
-    build_generalized_resolvent,
     resolvent_trace,
     sample_wigner,
     simulate_run,
@@ -84,7 +83,6 @@ __all__ = [
     "assemble_polynomial",
     "spectrum",
     "resolvent_trace",
-    "build_generalized_resolvent",
     "simulate_run",
 ]
 

@@ -123,7 +123,8 @@ def _scan_grid(spec: PolynomialSpec, boundary: float, sign: int) -> tuple[np.nda
     else:
         mags = np.geomspace(SCAN_INNER, SCAN_CAP, SCAN_POINTS)
     grid = sign * mags
-    values = np.real(h_value(grid.astype(complex), spec))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are dropped below
+        values = np.real(h_value(grid.astype(complex), spec))
     ok = np.isfinite(values)
     return grid[ok], values[ok]
 

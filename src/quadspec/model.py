@@ -167,11 +167,11 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
     asym = np.linalg.norm(unit - unit.conj().T) / np.linalg.norm(unit)
     if asym > HERMITICITY_RTOL:
         raise NonHermitianError(f"||A - A*|| / ||A|| = {asym:.3e} exceeds {HERMITICITY_RTOL:.0e}")
-    A = 0.5 * (A + A.conj().T)
-
-    A_hat = np.ascontiguousarray(0.5 * (A + A.T).real)
-    eig_a, vec_a = np.linalg.eigh(A)
-    eig_a_hat, vec_a_hat = np.linalg.eigh(A_hat)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected just below
+        A = 0.5 * (A + A.conj().T)
+        A_hat = np.ascontiguousarray(0.5 * (A + A.T).real)
+        eig_a, vec_a = np.linalg.eigh(A)
+        eig_a_hat, vec_a_hat = np.linalg.eigh(A_hat)
     if not all(np.all(np.isfinite(x)) for x in (A, A_hat, eig_a, vec_a, eig_a_hat, vec_a_hat)):
         raise SpecError(f"A is out of range: its symmetrized form or eigendata overflow (max |A_ij| = {scale:.3e})")
     b_proj = np.abs(vec_a_hat.T @ b_arr) ** 2

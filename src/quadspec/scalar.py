@@ -57,42 +57,53 @@ class PoleSet:
     m_star_minus: float
 
 
+def _eigen_axis(m, spec: PolynomialSpec):
+    """m as a complex array and mu, mu_hat, w2 as columns along a leading eigen-axis.
+
+    The kernels add the terms with the builtin ``sum``, from 0 and left to
+    right over the eigen-axis, so a point gets the same bits alone as in any
+    batch: ``.sum(axis=0)`` would add four or more terms pairwise for one
+    point and one by one for many.
+    """
+    m = np.asarray(m, dtype=complex)
+    column = (-1,) + (1,) * m.ndim
+    return m, spec.mu.reshape(column), spec.mu_hat.reshape(column), spec.w2.reshape(column)
+
+
+def gamma_terms(m, spec: PolynomialSpec):
+    """(gamma(m), gamma'(m)) for scalar or array m (no pole checks).
+
+    gamma'(m) = sum mu^2/(1+m mu)^2 + sum |<w,b>|^2/(1+2m mu_hat)^3; the
+    denominators 1 + m mu and 1 + 2 m mu_hat are formed once for both.
+    """
+    m, mu, mu_hat, w2 = _eigen_axis(m, spec)
+    d = 1.0 + m * mu
+    gamma = -sum(mu / d)
+    gamma_p = sum(mu**2 / d**2)
+    if len(w2):
+        e = 1.0 + 2.0 * m * mu_hat
+        gamma = gamma + m * sum(w2 * (1.0 + m * mu_hat) / e**2)
+        gamma_p = gamma_p + sum(w2 / e**3)
+    return gamma - spec.c, gamma_p
+
+
 def gamma_value(m, spec: PolynomialSpec):
     """gamma(m) for scalar or array m (no pole checks)."""
-    m = np.asarray(m, dtype=complex)
-    mu, mu_hat, w2 = spec.mu, spec.mu_hat, spec.w2
-    x = m[..., None]
-    out = -np.sum(mu / (1.0 + x * mu), axis=-1)
-    if len(w2):
-        out = out + m * np.sum(w2 * (1.0 + x * mu_hat) / (1.0 + 2.0 * x * mu_hat) ** 2, axis=-1)
-    return out - spec.c
-
-
-def gamma_prime(m, spec: PolynomialSpec):
-    """gamma'(m) = sum mu^2/(1+m mu)^2 + sum |<w,b>|^2/(1+2m mu_hat)^3."""
-    m = np.asarray(m, dtype=complex)
-    mu, mu_hat, w2 = spec.mu, spec.mu_hat, spec.w2
-    x = m[..., None]
-    out = np.sum(mu**2 / (1.0 + x * mu) ** 2, axis=-1)
-    if len(w2):
-        out = out + np.sum(w2 / (1.0 + 2.0 * x * mu_hat) ** 3, axis=-1)
-    return out
+    return gamma_terms(m, spec)[0]
 
 
 def h_value(m, spec: PolynomialSpec):
     """h(m) = 1/m^2 - gamma'(m)."""
     m = np.asarray(m, dtype=complex)
-    return 1.0 / m**2 - gamma_prime(m, spec)
+    return 1.0 / m**2 - gamma_terms(m, spec)[1]
 
 
 def h_prime(m, spec: PolynomialSpec):
     """h'(m), used to polish edge roots and certify their first order."""
-    m = np.asarray(m, dtype=complex)
-    mu, mu_hat, w2 = spec.mu, spec.mu_hat, spec.w2
-    x = m[..., None]
-    out = -2.0 / m**3 + 2.0 * np.sum(mu**3 / (1.0 + x * mu) ** 3, axis=-1)
+    m, mu, mu_hat, w2 = _eigen_axis(m, spec)
+    out = -2.0 / m**3 + 2.0 * sum(mu**3 / (1.0 + m * mu) ** 3)
     if len(w2):
-        out = out + 6.0 * np.sum(w2 * mu_hat / (1.0 + 2.0 * x * mu_hat) ** 4, axis=-1)
+        out = out + 6.0 * sum(w2 * mu_hat / (1.0 + 2.0 * m * mu_hat) ** 4)
     return out
 
 
@@ -121,58 +132,63 @@ def poles(spec: PolynomialSpec) -> PoleSet:
 
 def gamma_and_prime(spec: PolynomialSpec):
     """The map m -> (gamma(m), gamma'(m)) that damped_newton takes for ``spec``."""
-    return lambda m: (gamma_value(m, spec), gamma_prime(m, spec))
+    return lambda m: gamma_terms(m, spec)
 
 
 def damped_newton(z, m, gamma_and_prime, polish: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
     """Damped Newton for f(m) = 1/m + z + gamma(m) at fixed z, keeping Im m > 0.
 
-    ``gamma_and_prime(m)`` returns (gamma(m), gamma'(m)) for an array m, so
-    f'(m) = gamma'(m) - 1/m^2 and f is evaluated once per iteration.  A step
-    that would leave the upper half-plane is halved until it does not; after
-    60 halvings it is rejected and m stays put.  Raises NoConvergenceError
-    when any component misses the residual target after the iteration
-    budget.  ``polish`` extra keep-best iterations push the residual toward
-    the numerical floor, which sharpens m near the edges where f'
-    degenerates.  Returns (m, |f(m)|, iterations).
+    ``z`` and the start ``m`` have one shape, which the results keep; the
+    caller's ``m`` is not written to.  ``gamma_and_prime(m)`` returns
+    (gamma(m), gamma'(m)) for an array m, so f'(m) = gamma'(m) - 1/m^2 and f
+    is evaluated once per iteration.  Each iteration steps only the points
+    whose residual still misses the target.  A step that would leave the
+    upper half-plane is halved until it does not; after 60 halvings it is
+    rejected and m stays put.  Raises NoConvergenceError when any component
+    misses the residual target after the iteration budget.  ``polish`` extra
+    keep-best iterations of every point push the residual toward the
+    numerical floor, which sharpens m near the edges where f' degenerates.
+    Returns (m, |f(m)|, iterations).
     """
     z = np.asarray(z, dtype=complex)
-    m = np.asarray(m, dtype=complex)
+    m = np.array(m, dtype=complex)
     tol = RESIDUAL_RTOL * (1.0 + np.abs(z))
 
-    def evaluate(m):
+    def evaluate(z, m):
         gamma, gamma_p = gamma_and_prime(m)
         return 1.0 / m + z + gamma, gamma_p - 1.0 / m**2
 
-    def damped_step(m, f, fp, active):
-        step = np.where(active, f / np.where(fp == 0.0, 1e-300, fp), 0.0)
+    def damped_step(z, m, f, fp):
+        step = f / np.where(fp == 0.0, 1e-300, fp)
         scale = np.ones(m.shape)
         candidate = m - step
         for _ in range(60):
-            bad = active & ((candidate.imag <= 0.0) | ~np.isfinite(candidate))
+            bad = (candidate.imag <= 0.0) | ~np.isfinite(candidate)
             if not np.any(bad):
                 break
             scale = np.where(bad, 0.5 * scale, scale)
             candidate = m - scale * step
-        return np.where(active & (candidate.imag > 0.0) & np.isfinite(candidate), candidate, m)
+        m = np.where((candidate.imag > 0.0) & np.isfinite(candidate), candidate, m)
+        return (m,) + evaluate(z, m)
 
-    f, fp = evaluate(m)
+    f, fp = evaluate(z, m)
     iterations = 0
     for _ in range(MAX_NEWTON_ITERATIONS):
         active = np.abs(f) > tol
         if not np.any(active):
             break
         iterations += 1
-        m = damped_step(m, f, fp, active)
-        f, fp = evaluate(m)
+        if np.all(active):  # a 0-d point takes this branch and stays 0-d
+            m, f, fp = damped_step(z, m, f, fp)
+        else:
+            m[active], f[active], fp[active] = damped_step(z[active], m[active], f[active], fp[active])
     res = np.abs(f)
     if np.any(res > tol):
         worst = int(np.argmax(res / (1.0 + np.abs(z))))
         raise NoConvergenceError(complex(z.flat[worst]), float(res.flat[worst]))
     best_m, best_res = m, res
     for _ in range(polish):
-        m = damped_step(m, f, fp, np.ones(m.shape, dtype=bool))
-        f, fp = evaluate(m)
+        m, f, fp = damped_step(z, m, f, fp)
         res = np.abs(f)
         better = res < best_res
         best_m = np.where(better, m, best_m)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mde import _a_delta
 from .model import PolynomialSpec
 
 GAUSSIAN_COMPLEX = "gaussian-complex"
@@ -194,38 +193,6 @@ def resolvent_trace(eigenvalues: np.ndarray, z: complex) -> complex:
     if z.imag <= 0.0:
         raise ValueError(f"Im z must be positive, got z = {z}")
     return complex(np.mean(1.0 / (np.asarray(eigenvalues) - z)))
-
-
-def build_generalized_resolvent(spec: PolynomialSpec, X, z: complex, delta: float) -> np.ndarray:
-    """Blockwise normalized trace of the generalized resolvent, an (l+1)x(l+1) matrix.
-
-    With A_d = A (I + i delta eta A)^{-1}, g = (sum_ij X_i A_d,ij X_j + sum_i
-    b_i X_i + c - z)^{-1}, t_k = tr(X_k g)/N and T_kk' = tr(X_k g X_k')/N the
-    block traces are [[tr g/N, t^t A_d], [A_d t, -A_d + A_d T A_d]]: 2l
-    products and one inverse, no (l+1)N matrix.
-    """
-    z = complex(z)
-    if z.imag <= 0.0:
-        raise ValueError(f"Im z must be positive, got z = {z}")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    X = [np.asarray(x, dtype=complex) for x in X]
-    n = X[0].shape[0]
-    l = spec.l
-    A_d, _ = _a_delta(spec, z, delta)
-    core = (spec.c - z) * np.eye(n, dtype=complex)
-    for i in range(l):
-        core += X[i] @ sum(A_d[i, j] * X[j] for j in range(l)) + spec.b[i] * X[i]
-    g = np.linalg.inv(core)
-    gx = [g @ x for x in X]
-    t = np.array([np.trace(y) for y in gx]) / n
-    T = np.array([[np.einsum("ij,ji->", x, y) for y in gx] for x in X]) / n
-    out = np.empty((l + 1, l + 1), dtype=complex)
-    out[0, 0] = np.trace(g) / n
-    out[0, 1:] = t @ A_d
-    out[1:, 0] = A_d @ t
-    out[1:, 1:] = -A_d + A_d @ T @ A_d
-    return out
 
 
 def trial_workers(threads: int, trials: int) -> int:

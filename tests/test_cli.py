@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -166,6 +167,24 @@ def test_analyze_overflowing_scale_is_input_error(tmp_path, capsys):
     spec = '{"l":2,"A":[[-2,1],[1,2]],"b":[1e160,0],"c":0}'
     assert main(["analyze", "--spec", spec, "--out", str(tmp_path / "o")]) == EXIT_INPUT
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, spec, code",
+    [
+        (["classify"], '{"l":2,"A":[[0,1e308],[1e308,0]],"b":[0,0],"c":0}', EXIT_INPUT),
+        (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1e-200]],"b":[0],"c":0}', EXIT_INFRA),
+    ],
+    ids=["overflowing-A", "tiny-A"],
+)
+def test_handled_overflow_warns_nothing(command, spec, code, tmp_path, capsys):
+    # the overflow is turned into an exit code, so numpy has nothing to warn about
+    out = ["--out", str(tmp_path / "o")] if command[0] == "analyze" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*command, "--spec", spec, *out]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 _numbers = st.one_of(

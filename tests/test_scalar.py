@@ -7,11 +7,58 @@ from quadspec.scalar import (
     MAX_NEWTON_ITERATIONS,
     RESIDUAL_RTOL,
     NoConvergenceError,
-    gamma_prime,
+    damped_newton,
+    gamma_and_prime,
+    gamma_terms,
     gamma_value,
+    h_prime,
     h_value,
     solve_branch,
 )
+
+
+# The self-energy kernels as they were before gamma and gamma' shared one
+# kernel over a leading eigen-axis: each point's terms lie along a trailing
+# axis of length l.  gamma_terms, h_value and h_prime must match them bit for
+# bit for l <= 3.
+def _oracle_gamma_value(m, spec):
+    m = np.asarray(m, dtype=complex)
+    mu, mu_hat, w2 = spec.mu, spec.mu_hat, spec.w2
+    x = m[..., None]
+    out = -np.sum(mu / (1.0 + x * mu), axis=-1)
+    if len(w2):
+        out = out + m * np.sum(w2 * (1.0 + x * mu_hat) / (1.0 + 2.0 * x * mu_hat) ** 2, axis=-1)
+    return out - spec.c
+
+
+def _oracle_gamma_prime(m, spec):
+    m = np.asarray(m, dtype=complex)
+    mu, mu_hat, w2 = spec.mu, spec.mu_hat, spec.w2
+    x = m[..., None]
+    out = np.sum(mu**2 / (1.0 + x * mu) ** 2, axis=-1)
+    if len(w2):
+        out = out + np.sum(w2 / (1.0 + 2.0 * x * mu_hat) ** 3, axis=-1)
+    return out
+
+
+def _oracle_h_value(m, spec):
+    m = np.asarray(m, dtype=complex)
+    return 1.0 / m**2 - _oracle_gamma_prime(m, spec)
+
+
+def _oracle_h_prime(m, spec):
+    m = np.asarray(m, dtype=complex)
+    mu, mu_hat, w2 = spec.mu, spec.mu_hat, spec.w2
+    x = m[..., None]
+    out = -2.0 / m**3 + 2.0 * np.sum(mu**3 / (1.0 + x * mu) ** 3, axis=-1)
+    if len(w2):
+        out = out + 6.0 * np.sum(w2 * mu_hat / (1.0 + 2.0 * x * mu_hat) ** 4, axis=-1)
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # The damped Newton and continuation as they were before the scalar and the
@@ -102,7 +149,7 @@ def test_gamma_prime_finite_differences(spec_name, request):
     delta = 1e-6
     for _ in range(100):
         m = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))
-        gp = complex(gamma_prime(m, spec))
+        gp = complex(gamma_terms(m, spec)[1])
         fd = (gamma_value(m + delta, spec) - gamma_value(m - delta, spec)) / (2 * delta)
         assert abs(gp - fd) <= 1e-6
 
@@ -249,3 +296,70 @@ def test_solve_branch_matches_oracle_bitwise(
             assert np.array_equal(m, expected[0])
             assert np.array_equal(residual, expected[1])
             assert iterations == expected[2]
+
+
+def _kernel_specs(rng, fixtures, l_max=3):
+    """The fixtures and seeded random specs with l = 1..l_max, each with its b and with b = 0."""
+    specs = list(fixtures)
+    for l in range(1, l_max + 1):
+        for _ in range(3):
+            g = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)) * (l > 1)
+            A, c = 0.5 * (g + g.conj().T), float(rng.standard_normal())
+            specs += [validate_spec(l, A, rng.standard_normal(l), c), validate_spec(l, A, np.zeros(l), c)]
+    return specs
+
+
+def _kernel_points(rng, spec):
+    """m in the upper half-plane and on the real axis, as 0-d, 1-d and 2-d arrays."""
+    scale = 3.0 / spec.norm_a
+    m = rng.uniform(-scale, scale, 24) + 1j * scale * 10 ** rng.uniform(-9, 0, 24)
+    m[:4] = m[:4].real
+    return [m, m[:1], np.array(m[5]), np.array(m[1].real + 0j), m.reshape(4, 6)]
+
+
+def test_kernel_matches_oracle_bitwise(
+    wigner_square_spec, anticommutator_spec, shifted_square_spec, threshold_square_spec,
+    complex_half_spec, complex_threshold_spec,
+):
+    rng = np.random.default_rng(57)
+    fixtures = [wigner_square_spec, anticommutator_spec, shifted_square_spec, threshold_square_spec,
+                complex_half_spec, complex_threshold_spec]
+    specs = _kernel_specs(rng, fixtures)
+    assert any(len(spec.w2) == 0 for spec in specs) and any(len(spec.w2) == 3 for spec in specs)
+    for spec in specs:
+        for m in _kernel_points(rng, spec):
+            gamma, gamma_p = gamma_terms(m, spec)
+            assert _same_bits(gamma, _oracle_gamma_value(m, spec))
+            assert _same_bits(gamma_p, _oracle_gamma_prime(m, spec))
+            assert _same_bits(gamma_value(m, spec), _oracle_gamma_value(m, spec))
+            assert _same_bits(h_value(m, spec), _oracle_h_value(m, spec))
+            assert _same_bits(h_prime(m, spec), _oracle_h_prime(m, spec))
+
+
+def test_kernel_point_ignores_its_batch():
+    # every point of a batch gets the bits it gets alone, also with five terms
+    # on the eigen-axis, so a point's Newton path does not depend on which
+    # other points are still active
+    rng = np.random.default_rng(58)
+    for spec in _kernel_specs(rng, [], l_max=5):
+        m = _kernel_points(rng, spec)[0]
+        batch = gamma_terms(m, spec) + (h_prime(m, spec),)
+        for i in range(len(m)):
+            alone = gamma_terms(m[i], spec) + (h_prime(m[i], spec),)
+            assert all(_same_bits(b[i], a) for b, a in zip(batch, alone))
+
+
+def test_damped_newton_keeps_its_input(anticommutator_spec):
+    z = np.array([0.3 + 1e-3j, 2.5 + 1e-6j, -1.0 + 0.5j, 3.4 + 1e-2j])
+    start, _, _ = solve_branch(z.real + 2j * z.imag, anticommutator_spec)
+    start[0] = solve_branch(z[:1], anticommutator_spec)[0][0]  # converged: only the others step
+    kept = start.copy()
+    gp = gamma_and_prime(anticommutator_spec)
+    m, residual, iterations = damped_newton(z, start, gp)
+    assert _same_bits(start, kept)
+    assert m.shape == residual.shape == z.shape and iterations > 0
+    assert m[0] == kept[0]
+    point = np.array(start[1])
+    m1, residual1, _ = damped_newton(np.array(z[1]), point, gp, polish=2)
+    assert m1.shape == residual1.shape == ()
+    assert point == kept[1]

@@ -4,13 +4,10 @@ import pytest
 from quadspec import (
     EnsembleConfig,
     assemble_polynomial,
-    build_generalized_resolvent,
-    build_linearization,
     compute_edges,
     resolvent_trace,
     sample_wigner,
     simulate_run,
-    solve_m_delta,
     spectrum,
     validate_spec,
 )
@@ -117,54 +114,6 @@ def test_resolvent_trace_examples():
         assert resolvent_trace(eigs, z).imag > 0
     with pytest.raises(ValueError):
         resolvent_trace(eigs, 1 - 1j)
-
-
-@pytest.fixture(scope="module")
-def anti_sample(anticommutator_spec):
-    rng = trial_rng(5, 0)
-    return [sample_wigner(64, GAUSSIAN_COMPLEX, rng) for _ in range(2)]
-
-
-def _pencil_block_traces(spec, X, z, delta):
-    """Independent oracle: invert the linearization pencil densely and take its block traces."""
-    n, l = X[0].shape[0], spec.l
-    lin = build_linearization(spec)
-    pencil = np.kron(lin.K0, np.eye(n)) + sum(np.kron(lin.K[j], X[j]) for j in range(l))
-    j_big = np.kron(lin.J, np.eye(n))
-    direct = np.linalg.inv(pencil - z * j_big - 1j * z.imag * delta * (np.eye((l + 1) * n) - j_big))
-    blocks = direct.reshape(l + 1, n, l + 1, n)
-    return np.einsum("injn->ij", blocks) / n
-
-
-def test_generalized_resolvent_matches_pencil_inverse(anticommutator_spec, anti_sample):
-    z, delta = 1.3 + 0.7j, 0.4
-    traces = build_generalized_resolvent(anticommutator_spec, anti_sample, z, delta)
-    assert np.max(np.abs(traces - _pencil_block_traces(anticommutator_spec, anti_sample, z, delta))) <= 1e-10
-
-
-def test_generalized_resolvent_matches_pencil_inverse_complex_l3():
-    spec = _generic_l3_spec()
-    rng = trial_rng(6, 0)
-    X = [sample_wigner(48, GAUSSIAN_COMPLEX, rng) for _ in range(3)]
-    for z, delta in ((0.9 + 0.8j, 0.0), (-1.7 + 0.3j, 0.6)):
-        traces = build_generalized_resolvent(spec, X, z, delta)
-        assert np.max(np.abs(traces - _pencil_block_traces(spec, X, z, delta))) <= 1e-10
-
-
-def test_generalized_resolvent_corner_block(anticommutator_spec, anti_sample):
-    z = 1.3 + 0.7j
-    bt = build_generalized_resolvent(anticommutator_spec, anti_sample, z, 0.0)
-    q = assemble_polynomial(anticommutator_spec, anti_sample)
-    assert abs(bt[0, 0] - resolvent_trace(np.linalg.eigvalsh(q), z)) <= 1e-10
-
-
-def test_generalized_resolvent_near_deterministic_limit(wigner_square_spec):
-    rep = compute_edges(wigner_square_spec)
-    z = rep.tau_plus + 0.5j
-    x = [sample_wigner(512, GAUSSIAN_COMPLEX, trial_rng(3, 0))]
-    bt = build_generalized_resolvent(wigner_square_spec, x, z, 0.0)
-    M = solve_m_delta(z, 0.0, wigner_square_spec).M
-    assert np.max(np.abs(bt - M)) <= 0.1
 
 
 def test_simulate_run_determinism(wigner_square_spec):
