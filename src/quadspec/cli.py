@@ -361,16 +361,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _default_threads() -> int:
-    env = os.environ.get("QUADSPEC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadspec",
@@ -393,9 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--N", type=_parse_n_list, default=[1024], help="comma-separated dimensions")
     p_verify.add_argument("--trials", type=int, default=20)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument(
-        "--threads", type=_positive_int, default=_default_threads(), help="cap on concurrent trials"
-    )
+    p_verify.add_argument("--threads", type=_positive_int, default=1, help="cap on concurrent trials")
     p_verify.add_argument("--eta", type=_positive_float, default=None)
     p_verify.add_argument("--dist", choices=DISTRIBUTIONS, default=GAUSSIAN_COMPLEX)
     p_verify.add_argument("--n-grid", type=int, default=512)
@@ -413,29 +401,12 @@ def cmd_analyze(args) -> int:
     _check_out_prefix(args.out)
     spec = load_spec(args.spec)
     classification, edges, curve = _analysis(spec, args.n_grid)
-    exponents = {}
+    edges_payload = asdict(edges) | {"mass": curve.mass, "classification": classification.to_json_dict()}
     for side in ("left", "right"):
         try:
-            exponents[side] = fit_edge_exponent(curve, side)
+            edges_payload[f"fitted_exponent_{side}"] = fit_edge_exponent(curve, side)
         except InsufficientPointsError:
-            exponents[side] = None
-
-    edges_payload = {
-        "tau_plus": edges.tau_plus,
-        "tau_minus": edges.tau_minus,
-        "m_plus": edges.m_plus,
-        "m_minus": edges.m_minus,
-        "left_edge_regular": edges.left_edge_regular,
-        "right_edge_regular": edges.right_edge_regular,
-        "left_exponent": edges.left_exponent,
-        "right_exponent": edges.right_exponent,
-        "fitted_exponent_left": exponents["left"],
-        "fitted_exponent_right": exponents["right"],
-        "h_prime_at_roots": list(edges.h_prime_at_roots),
-        "tau_star": edges.tau_star,
-        "mass": curve.mass,
-        "classification": classification.to_json_dict(),
-    }
+            edges_payload[f"fitted_exponent_{side}"] = None
     edges_path = f"{args.out}_edges.json"
     csv_path = f"{args.out}_density.csv"
     plot_path = f"{args.out}_plot.gp"

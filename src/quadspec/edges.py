@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import PolynomialSpec, SpectralClassification, classify_polynomial
+from .model import PolynomialSpec, SpectralClassification, classify_polynomial, real_direction
 from .scalar import PoleSet, gamma_value, h_prime, h_value, poles
 
 SCAN_POINTS = 400
@@ -74,18 +74,15 @@ class EdgeReport:
 def compute_s_a(v) -> DirectionStats:
     """Direction constants for a unit vector v with genuinely complex direction.
 
-    Requires 0 < ||Re v|| < 1 and Re v, Im v linearly independent; otherwise v
-    is real up to a phase and RealDirectionError is raised.
+    Raises RealDirectionError when v is real up to a phase (``model.real_direction``).
+    Near that boundary 1 - sigma^2 cancels and s may come out inf or nan.
     """
     v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
+    if real_direction(v) is not None:
+        raise RealDirectionError("v is real up to a phase")
     sigma = float(np.linalg.norm(v.real))
     mu = float(v.real @ v.imag)
-    if sigma < 1e-12 or sigma > 1.0 - 1e-12:
-        raise RealDirectionError(f"sigma = {sigma} lies at the real-direction boundary")
-    gram_det = sigma**2 * (1.0 - sigma**2) - mu**2
-    if gram_det <= 1e-12:
-        raise RealDirectionError("Re v and Im v are linearly dependent")
     if mu != 0.0:
         t = (1.0 - 2.0 * sigma**2) / (2.0 * mu)
         root = np.hypot(t, 1.0)
@@ -96,9 +93,11 @@ def compute_s_a(v) -> DirectionStats:
             a_minus = t - root
             a_plus = -1.0 / a_minus
         s2 = 0.0
-        for a in (a_plus, a_minus):
-            s2 += 1.0 / ((sigma**2 + a**2 * (1.0 - sigma**2) + 2.0 * a * mu) * (sigma**2 + a * mu))
-        return DirectionStats(sigma=sigma, mu=mu, a_plus=a_plus, a_minus=a_minus, s=float(np.sqrt(s2)))
+        with np.errstate(all="ignore"):
+            for a in (a_plus, a_minus):
+                s2 += 1.0 / ((sigma**2 + a**2 * (1.0 - sigma**2) + 2.0 * a * mu) * (sigma**2 + a * mu))
+            s = float(np.sqrt(s2))
+        return DirectionStats(sigma=sigma, mu=mu, a_plus=a_plus, a_minus=a_minus, s=s)
     return DirectionStats(sigma=sigma, mu=mu, a_plus=None, a_minus=None, s=sigma**-2)
 
 
@@ -123,7 +122,7 @@ def _scan_grid(spec: PolynomialSpec, boundary: float, sign: int) -> tuple[np.nda
     else:
         mags = np.geomspace(SCAN_INNER, SCAN_CAP, SCAN_POINTS)
     grid = sign * mags
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are dropped below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # non-finite values are dropped below
         values = np.real(h_value(grid.astype(complex), spec))
     ok = np.isfinite(values)
     return grid[ok], values[ok]
@@ -140,44 +139,63 @@ def _scan_side(spec: PolynomialSpec, boundary: float, sign: int) -> float | None
         return None
     i = flips[0]
     a, b = grid[i], grid[i + 1]
-    root = brentq(_h_real, min(a, b), max(a, b), args=(spec,), xtol=1e-14, rtol=ROOT_RTOL)
-    value = _h_real(root, spec)
-    for _ in range(2):  # keep-best Newton polish
-        hp = float(np.real(h_prime(complex(root), spec)))
-        if hp == 0.0:
-            break
-        candidate = root - value / hp
-        candidate_value = _h_real(candidate, spec)
-        if not abs(candidate_value) < abs(value):
-            break
-        root, value = candidate, candidate_value
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite step is not taken
+        root = brentq(_h_real, min(a, b), max(a, b), args=(spec,), xtol=1e-14, rtol=ROOT_RTOL)
+        value = _h_real(root, spec)
+        for _ in range(2):  # keep-best Newton polish
+            hp = float(np.real(h_prime(complex(root), spec)))
+            if hp == 0.0:
+                break
+            candidate = root - value / hp
+            candidate_value = _h_real(candidate, spec)
+            if not abs(candidate_value) < abs(value):
+                break
+            root, value = candidate, candidate_value
     return float(root)
 
 
-def _threshold_product(classification: SpectralClassification) -> float:
-    """xi for a real direction or a vanishing xi, s xi for a genuinely complex one.
+def _hard_edge_exponents(classification: SpectralClassification) -> tuple[float | None, float | None]:
+    """The edge verdict: the blow-up exponent of a hard edge on the m_plus and the m_minus side.
 
-    The singularity threshold sits where this product equals 2.
+    None where h keeps its root.  Only a reducible q at or below its threshold
+    (xi <= 2 for a real direction, s xi <= 2 for a genuinely complex one, each
+    up to THRESHOLD_RTOL) loses a root, on the m_minus side for alpha > 0 and on
+    the m_plus side for alpha < 0; the exponent is -1/2 below the threshold and
+    -1/4 (real) or -1/3 (complex) at it.
     """
-    xi = classification.xi
-    if xi <= THRESHOLD_RTOL or classification.v_is_real_up_to_phase:
-        return xi
-    return compute_s_a(classification.v).s * xi
-
-
-def _reducible_no_root(classification: SpectralClassification) -> bool:
-    """Singularity conditions: the mirrored h has no root on its hard side."""
-    return _threshold_product(classification) <= 2.0 * (1.0 + THRESHOLD_RTOL)
-
-
-def _analytic_no_root(spec: PolynomialSpec, classification: SpectralClassification, side: int) -> bool:
-    """True when h provably has no root on the given side (-1 left, +1 right)."""
     if not classification.is_reducible:
-        return False
-    hard_side = 1 if classification.alpha > 0 else -1
-    if side != hard_side:
-        return False
-    return _reducible_no_root(classification)
+        return None, None
+    real = classification.v_is_real_up_to_phase
+    product = classification.xi
+    if product != 0.0 and not real:  # at xi = 0 an overflowed s would make s * xi nan
+        product *= compute_s_a(classification.v).s
+    if not product <= 2.0 * (1.0 + THRESHOLD_RTOL):  # a nan s keeps the roots
+        return None, None
+    if abs(product - 2.0) > 2.0 * THRESHOLD_RTOL:
+        exponent = -0.5
+    else:
+        exponent = -0.25 if real else -1.0 / 3.0
+    return (None, exponent) if classification.alpha > 0 else (exponent, None)
+
+
+def _checked_roots(
+    spec: PolynomialSpec, pole_set: PoleSet, exponents: tuple[float | None, float | None]
+) -> tuple[float | None, float | None]:
+    """Scan roots of h on both sides, cross-checked against the edge verdict."""
+    escaped = ESCAPED_ROOT_FACTOR * (1.0 + 1.0 / spec.norm_a)
+    out: list[float | None] = []
+    for side, boundary, exponent in zip((-1, +1), (pole_set.m_star_plus, pole_set.m_star_minus), exponents):
+        numeric = _scan_side(spec, boundary, side)
+        if exponent is None and numeric is None:
+            raise InconsistentClassificationError(
+                f"a root of h was expected on side {side:+d} but the scan found none"
+            )
+        if exponent is not None and numeric is not None and abs(numeric) < escaped:
+            raise InconsistentClassificationError(
+                f"analytic verdict says no root on side {side:+d} but the scan found m = {numeric}"
+            )
+        out.append(numeric if exponent is None else None)
+    return out[0], out[1]
 
 
 def find_edge_roots(
@@ -187,7 +205,7 @@ def find_edge_roots(
 ) -> tuple[float | None, float | None]:
     """Roots (m_plus, m_minus) of h adjacent to the origin, None where absent.
 
-    Absence is decided analytically (singularity conditions of the reducible
+    Absence is decided analytically (the edge verdict of the reducible
     classification) and cross-checked against the numeric scan; disagreement
     raises InconsistentClassificationError.  A scan root at a magnitude far
     beyond the coefficient scale is tolerated when the analytic verdict says
@@ -199,36 +217,7 @@ def find_edge_roots(
         pole_set = poles(spec)
     if classification is None:
         classification = classify_polynomial(spec)
-
-    escaped = ESCAPED_ROOT_FACTOR * (1.0 + 1.0 / spec.norm_a)
-    out: list[float | None] = []
-    for side, boundary in ((-1, pole_set.m_star_plus), (+1, pole_set.m_star_minus)):
-        numeric = _scan_side(spec, boundary, side)
-        no_root = _analytic_no_root(spec, classification, side)
-        if no_root:
-            if numeric is not None and abs(numeric) < escaped:
-                raise InconsistentClassificationError(
-                    f"analytic verdict says no root on side {side:+d} but the scan found m = {numeric}"
-                )
-            out.append(None)
-        else:
-            if numeric is None:
-                raise InconsistentClassificationError(
-                    f"a root of h was expected on side {side:+d} but the scan found none"
-                )
-            out.append(numeric)
-    return out[0], out[1]
-
-
-def _singular_exponent(classification: SpectralClassification) -> float:
-    """Density blow-up exponent at a hard edge, from the singularity table."""
-    if abs(_threshold_product(classification) - 2.0) > 2.0 * THRESHOLD_RTOL:
-        return -0.5
-    return -0.25 if classification.v_is_real_up_to_phase else -1.0 / 3.0
-
-
-def _edge_from_root(m_root: float, spec: PolynomialSpec) -> float:
-    return float(np.real(-1.0 / m_root - gamma_value(complex(m_root), spec)))
+    return _checked_roots(spec, pole_set, _hard_edge_exponents(classification))
 
 
 def compute_edges(spec: PolynomialSpec, classification: SpectralClassification | None = None) -> EdgeReport:
@@ -236,36 +225,20 @@ def compute_edges(spec: PolynomialSpec, classification: SpectralClassification |
 
     Regular edges come from the roots of h via tau = -1/m - gamma(m); a hard
     edge sits at -beta (the classification shift) and carries the blow-up
-    exponent of the singularity table.
+    exponent of the edge verdict.
     """
     if classification is None:
         classification = classify_polynomial(spec)
-    pole_set = poles(spec)
-    m_plus, m_minus = find_edge_roots(spec, pole_set, classification)
-
-    hard_value = None
-    if m_plus is None or m_minus is None:
-        hard_value = -float(classification.beta)
-
-    if m_plus is not None:
-        tau_plus = _edge_from_root(m_plus, spec)
-        right_regular, right_exponent = True, 0.5
-        hp_plus = float(np.real(h_prime(complex(m_plus), spec)))
-    else:
-        tau_plus = hard_value
-        right_regular = False
-        right_exponent = _singular_exponent(classification)
-        hp_plus = None
-
-    if m_minus is not None:
-        tau_minus = _edge_from_root(m_minus, spec)
-        left_regular, left_exponent = True, 0.5
-        hp_minus = float(np.real(h_prime(complex(m_minus), spec)))
-    else:
-        tau_minus = hard_value
-        left_regular = False
-        left_exponent = _singular_exponent(classification)
-        hp_minus = None
+    exponents = _hard_edge_exponents(classification)
+    roots = _checked_roots(spec, poles(spec), exponents)
+    sides = []  # (tau, regular, exponent, h'(m)) for the right, then the left edge
+    for m, exponent in zip(roots, exponents):
+        if m is None:
+            sides.append((-float(classification.beta), False, exponent, None))
+        else:
+            tau = float(np.real(-1.0 / m - gamma_value(complex(m), spec)))
+            sides.append((tau, True, 0.5, float(np.real(h_prime(complex(m), spec)))))
+    (tau_plus, right_regular, right_exponent, hp_plus), (tau_minus, left_regular, left_exponent, hp_minus) = sides
 
     if not tau_plus > tau_minus:
         raise InconsistentClassificationError(
@@ -274,8 +247,8 @@ def compute_edges(spec: PolynomialSpec, classification: SpectralClassification |
     return EdgeReport(
         tau_plus=tau_plus,
         tau_minus=tau_minus,
-        m_plus=m_plus,
-        m_minus=m_minus,
+        m_plus=roots[0],
+        m_minus=roots[1],
         right_edge_regular=right_regular,
         left_edge_regular=left_regular,
         left_exponent=left_exponent,

@@ -72,7 +72,9 @@ class PolynomialSpec:
 
     @property
     def norm_b(self) -> float:
-        return float(np.linalg.norm(self.b))
+        """Euclidean norm of b; inf once its square overflows (past about 1e154)."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.b))
 
     @property
     def coefficient_scale(self) -> float:
@@ -174,9 +176,10 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
         eig_a_hat, vec_a_hat = np.linalg.eigh(A_hat)
     if not all(np.all(np.isfinite(x)) for x in (A, A_hat, eig_a, vec_a, eig_a_hat, vec_a_hat)):
         raise SpecError(f"A is out of range: its symmetrized form or eigendata overflow (max |A_ij| = {scale:.3e})")
-    b_proj = np.abs(vec_a_hat.T @ b_arr) ** 2
+    with np.errstate(over="ignore"):  # an infinite ||b|| is rejected at the continuation start
+        b_proj = np.abs(vec_a_hat.T @ b_arr) ** 2
+        keep = b_proj > B_PROJ_RTOL * max(float(np.linalg.norm(b_arr)) ** 2, 1e-300)
     mu = eig_a[np.abs(eig_a) > EIG_ZERO_RTOL * max(float(np.max(np.abs(eig_a))), 1e-300)]
-    keep = b_proj > B_PROJ_RTOL * max(float(np.linalg.norm(b_arr)) ** 2, 1e-300)
 
     return PolynomialSpec(
         l=int(l),
@@ -252,8 +255,11 @@ def spec_hash_payload(spec: PolynomialSpec) -> str:
     return json.dumps(spec.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _real_direction(v: np.ndarray, rtol: float = 1e-10) -> np.ndarray | None:
-    """Return a real unit vector u with v = e^{i phi} u, or None if genuinely complex."""
+def real_direction(v: np.ndarray, rtol: float = 1e-10) -> np.ndarray | None:
+    """Return a real unit vector u with v = e^{i phi} u, or None if genuinely complex.
+
+    The one real-direction test: the classification and ``edges.compute_s_a`` both use it.
+    """
     k = int(np.argmax(np.abs(v)))
     u = (v * np.exp(-1j * np.angle(v[k]))).real
     residual = np.linalg.norm(v * np.exp(-1j * np.angle(v[k])) - u)
@@ -269,21 +275,22 @@ def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
     Reducible means A = alpha v v* (numerically rank one) and
     b = -alpha xi (v + conj(v)) for some xi >= 0 once the phase freedom of v
     is fixed; the phase is chosen in closed form as the least-squares
-    minimizer of ||b + alpha xi (e^{i phi} v + e^{-i phi} conj(v))||.
+    minimizer of ||b + alpha xi (e^{i phi} v + e^{-i phi} conj(v))||.  A xi
+    with |alpha| xi below ``B_SPAN_TOL`` times the coefficient scale is zero.
     WignerSquare is reported when additionally v is real up to phase and
-    b = 0 (the most specific kind wins).
+    xi = 0 (the most specific kind wins).
     """
-    A, b = spec.A, spec.b
-    svals = np.linalg.svd(A, compute_uv=False)
-    if spec.l > 1 and svals[1] > RANK_ONE_RTOL * svals[0]:
+    b = spec.b
+    sv = np.sort(np.abs(spec.eig_a))  # the singular values of the Hermitian A, ascending
+    if spec.l > 1 and sv[-2] > RANK_ONE_RTOL * sv[-1]:
         return SpectralClassification(kind="NonReducible")
 
     idx = int(np.argmax(np.abs(spec.eig_a)))
     alpha = float(spec.eig_a[idx])
     v = spec.vec_a[:, idx].copy()
 
-    b_tol = B_SPAN_TOL * (np.linalg.norm(b) + 1.0)
-    u = _real_direction(v)
+    b_tol = B_SPAN_TOL * (spec.norm_b + 1.0)
+    u = real_direction(v)
     real_up_to_phase = u is not None
 
     xi: float
@@ -295,7 +302,6 @@ def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
         if xi < 0:
             u = -u
             xi = -xi
-        v_fixed = u.astype(complex)
     else:
         basis = np.stack([v.real, v.imag], axis=1)
         coeffs, *_ = np.linalg.lstsq(basis, b, rcond=None)
@@ -303,16 +309,6 @@ def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
             return SpectralClassification(kind="NonReducible")
         c1, c2 = float(coeffs[0]), float(coeffs[1])
         xi = float(np.hypot(c1, c2) / (2.0 * abs(alpha)))
-        if xi * abs(alpha) <= B_SPAN_TOL * spec.coefficient_scale:
-            xi = 0.0
-            k = int(np.argmax(np.abs(v)))
-            v_fixed = v * np.exp(-1j * np.angle(v[k]))
-        else:
-            # b = -2 alpha xi Re(e^{i phi} v) pins the phase
-            cos_phi = -c1 / (2.0 * alpha * xi)
-            sin_phi = c2 / (2.0 * alpha * xi)
-            phi = float(np.arctan2(sin_phi, cos_phi))
-            v_fixed = v * np.exp(1j * phi)
 
     try:
         beta = alpha * xi**2 - spec.c
@@ -320,7 +316,21 @@ def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
         beta = float("inf")
     if not np.isfinite(beta):
         raise SpecError(f"classification overflows (alpha = {alpha:.3e}, xi = {xi:.3e}): coefficients out of range")
-    if real_up_to_phase and xi * abs(alpha) <= B_SPAN_TOL * spec.coefficient_scale:
+    if xi * abs(alpha) <= B_SPAN_TOL * spec.coefficient_scale:
+        xi = 0.0
+        beta = alpha * xi**2 - spec.c
+    if real_up_to_phase:
+        v_fixed = u.astype(complex)
+    elif xi == 0.0:
+        k = int(np.argmax(np.abs(v)))
+        v_fixed = v * np.exp(-1j * np.angle(v[k]))
+    else:
+        # b = -2 alpha xi Re(e^{i phi} v) pins the phase
+        cos_phi = -c1 / (2.0 * alpha * xi)
+        sin_phi = c2 / (2.0 * alpha * xi)
+        phi = float(np.arctan2(sin_phi, cos_phi))
+        v_fixed = v * np.exp(1j * phi)
+    if real_up_to_phase and xi == 0.0:
         return SpectralClassification(
             kind="WignerSquare",
             alpha=alpha,

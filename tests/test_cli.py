@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import quadspec.cli as cli_module
 from quadspec import compute_density, compute_edges, quantiles
-from quadspec.cli import EXIT_CRITERIA, EXIT_INFRA, EXIT_INPUT, EXIT_OK, build_parser, compare_ks, main, spec_digest
+from quadspec.cli import EXIT_CRITERIA, EXIT_INFRA, EXIT_INPUT, EXIT_OK, compare_ks, main, spec_digest
 from quadspec.density import MassDeficitError
 from quadspec.edges import InconsistentClassificationError
 from quadspec.model import load_spec
@@ -174,8 +174,21 @@ def test_analyze_overflowing_scale_is_input_error(tmp_path, capsys):
     [
         (["classify"], '{"l":2,"A":[[0,1e308],[1e308,0]],"b":[0,0],"c":0}', EXIT_INPUT),
         (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1e-200]],"b":[0],"c":0}', EXIT_INFRA),
+        (["classify"], '{"l":1,"A":[[1]],"b":[1e200],"c":0}', EXIT_INPUT),
+        (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1]],"b":[1e200],"c":0}', EXIT_INPUT),
+        (["classify"], '{"l":1,"A":[[1e-100]],"b":[1e100],"c":0}', EXIT_INPUT),
+        (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1e-100]],"b":[1e100],"c":0}', EXIT_INPUT),
+        (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1e200]],"b":[0],"c":0}', EXIT_INFRA),
     ],
-    ids=["overflowing-A", "tiny-A"],
+    ids=[
+        "overflowing-A",
+        "tiny-A",
+        "large-b-classify",
+        "large-b-analyze",
+        "small-alpha-classify",
+        "small-alpha-analyze",
+        "huge-A",
+    ],
 )
 def test_handled_overflow_warns_nothing(command, spec, code, tmp_path, capsys):
     # the overflow is turned into an exit code, so numpy has nothing to warn about
@@ -209,12 +222,48 @@ def _shaped_specs(draw):
     return {"l": l, "A": A, "b": [draw(_numbers) for _ in range(l)], "c": draw(_numbers)}
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+_VERIFY_SMALL = ["--N", "16", "--trials", "2", "--n-grid", "64"]
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(st.sampled_from([["classify"], ["analyze", "--n-grid", "64"]]), st.one_of(_shaped_specs(), _wild_specs))
+@given(
+    st.sampled_from([
+        ["classify"],
+        ["analyze", "--n-grid", "64"],
+        ["verify", "--suite", "density", *_VERIFY_SMALL],
+        ["verify", "--suite", "stability", *_VERIFY_SMALL],
+    ]),
+    st.one_of(_shaped_specs(), _wild_specs),
+)
 def test_classify_exit_code_contract(tmp_path, command, spec):
-    out = ["--out", str(tmp_path / "o")] if command[0] == "analyze" else []
+    out = [] if command[0] == "classify" else ["--out", str(tmp_path / "o")]
     assert main([*command, "--spec", json.dumps(spec), *out]) in (EXIT_OK, EXIT_INPUT, EXIT_INFRA, EXIT_CRITERIA)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-6])
+def test_near_real_direction_is_not_input_error(eps, tmp_path):
+    # v = (1, i eps) is genuinely complex to the classification, so the edges must not call it real;
+    # for eps <= 1e-8, 1 - sigma^2 cancels in s and the edge verdict cannot be trusted (exit 3)
+    v = np.array([1.0, 1j * eps])
+    v = v / np.linalg.norm(v)
+    A = np.outer(v, v.conj())
+    payload = {
+        "l": 2,
+        "A": [[{"re": z.real, "im": z.imag} for z in row] for row in A],
+        "b": [float(x) for x in -2.0 * v.real],
+        "c": 1.0,
+    }
+    prefix = str(tmp_path / "near")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["analyze", "--n-grid", "64", "--spec", json.dumps(payload), "--out", prefix])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code in ((EXIT_OK,) if eps >= 1e-6 else (EXIT_OK, EXIT_INFRA))
+    if code == EXIT_OK:
+        edges = json.loads(open(prefix + "_edges.json").read())
+        assert edges["tau_plus"] == pytest.approx(9.0, abs=1e-9)  # the eps = 0 edges of (X1 - 1)^2
+        assert edges["tau_minus"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_analyze_squared_wigner(wsq_file, tmp_path, capsys):
@@ -271,15 +320,6 @@ def test_verify_lemmas_pass_and_determinism(tmp_path, capsys):
     assert "PASS lemmas/entrywise_real_part" in out
     assert main(["verify", "--suite", "lemmas", "--seed", "7", "--out", p2]) == EXIT_OK
     assert open(p1 + "_report.json", "rb").read() == open(p2 + "_report.json", "rb").read()
-
-
-def test_threads_default_from_environment(monkeypatch):
-    monkeypatch.setenv("QUADSPEC_THREADS", "3")
-    args = build_parser().parse_args(["verify", "--suite", "lemmas"])
-    assert args.threads == 3
-    monkeypatch.setenv("QUADSPEC_THREADS", "not-a-number")
-    args = build_parser().parse_args(["verify", "--suite", "lemmas"])
-    assert args.threads == 1
 
 
 def test_verify_requires_spec(tmp_path):

@@ -13,7 +13,7 @@ from quadspec import (
     solve_m,
     validate_spec,
 )
-from quadspec.edges import THRESHOLD_RTOL, RealDirectionError, _analytic_no_root, _scan_grid
+from quadspec.edges import THRESHOLD_RTOL, RealDirectionError, _hard_edge_exponents, _scan_grid
 from quadspec.scalar import h_prime, h_value
 
 ANTI_M = np.sqrt(np.sqrt(5.0) - 2.0)  # root of m^4 + 4 m^2 - 1 = 0
@@ -260,7 +260,7 @@ def test_root_existence_matches_scan():
         ps = poles(spec)
         found = _count_sign_changes(spec, ps.m_star_plus, -1) > 0
         assert verdict.root_exists == found
-        assert verdict.root_exists == (not _analytic_no_root(spec, classify_polynomial(spec), -1))
+        assert verdict.root_exists == (_hard_edge_exponents(classify_polynomial(spec))[0] is None)
 
 
 def test_scan_sees_at_most_one_sign_change():
