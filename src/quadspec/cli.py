@@ -13,12 +13,16 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
+import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .density import (
     MASS_TOLERANCE,
     DensityCurve,
@@ -306,10 +310,18 @@ def run_suite_stability(spec, seed) -> ComparisonReport:
 
 
 def _append_run_record(
-    store_path: str, command: str, spec_hash: str | None, config: dict, summary: dict, **extra
+    store_path: str, command: str, spec_hash: str | None, config: dict, summary: dict, started: float, **extra
 ):
+    """Append one record to the run store; ``started`` is the command's perf_counter start."""
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "elapsed_s": time.perf_counter() - started,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "quadspec": __version__,
+        },
         "spec_hash": spec_hash,
         "command": command,
         "config": config,
@@ -398,6 +410,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    started = time.perf_counter()
     _check_out_prefix(args.out)
     spec = load_spec(args.spec)
     classification, edges, curve = _analysis(spec, args.n_grid)
@@ -432,12 +445,14 @@ def cmd_analyze(args) -> int:
         spec_hash=spec_digest(spec),
         config={"n_grid": args.n_grid},
         summary={"tau_plus": edges.tau_plus, "tau_minus": edges.tau_minus, "mass": curve.mass},
+        started=started,
     )
     sys.stdout.write(f"wrote {edges_path}, {csv_path}, {plot_path}\n")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    started = time.perf_counter()
     _check_out_prefix(args.out)
     suite = args.suite
     spec = None
@@ -472,6 +487,7 @@ def cmd_verify(args) -> int:
         spec_hash=report.spec_hash,
         config=report.config | {"seed": args.seed},
         summary={"pass_flags": report.pass_flags},
+        started=started,
         threads=args.threads,
         trial_workers=trial_workers(args.threads, args.trials) if suite in SIMULATION_SUITES else None,
     )

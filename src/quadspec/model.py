@@ -269,6 +269,14 @@ def real_direction(v: np.ndarray, rtol: float = 1e-10) -> np.ndarray | None:
     return u / n
 
 
+def _off_span(b: np.ndarray, fit: np.ndarray) -> bool:
+    """||b - fit|| > B_SPAN_TOL (||b|| + 1), both sides in units of max |b_i| once
+    that exceeds 1, so that neither norm overflows."""
+    scale = max(float(np.max(np.abs(b))), 1.0)
+    residual = np.linalg.norm(b / scale - fit / scale)
+    return bool(residual > B_SPAN_TOL * (np.linalg.norm(b / scale) + 1.0 / scale))
+
+
 def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
     """Decide whether q is a shifted reducible polynomial and extract its parameters.
 
@@ -289,14 +297,13 @@ def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
     alpha = float(spec.eig_a[idx])
     v = spec.vec_a[:, idx].copy()
 
-    b_tol = B_SPAN_TOL * (spec.norm_b + 1.0)
     u = real_direction(v)
     real_up_to_phase = u is not None
 
     xi: float
     if real_up_to_phase:
         coeff = float(u @ b)
-        if np.linalg.norm(b - coeff * u) > b_tol:
+        if _off_span(b, coeff * u):
             return SpectralClassification(kind="NonReducible")
         xi = -coeff / (2.0 * alpha)
         if xi < 0:
@@ -305,7 +312,7 @@ def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
     else:
         basis = np.stack([v.real, v.imag], axis=1)
         coeffs, *_ = np.linalg.lstsq(basis, b, rcond=None)
-        if np.linalg.norm(b - basis @ coeffs) > b_tol:
+        if _off_span(b, basis @ coeffs):
             return SpectralClassification(kind="NonReducible")
         c1, c2 = float(coeffs[0]), float(coeffs[1])
         xi = float(np.hypot(c1, c2) / (2.0 * abs(alpha)))

@@ -156,40 +156,44 @@ def damped_newton(z, m, gamma_and_prime, polish: int = 0) -> tuple[np.ndarray, n
 
     def evaluate(z, m):
         gamma, gamma_p = gamma_and_prime(m)
-        return 1.0 / m + z + gamma, gamma_p - 1.0 / m**2
+        f = 1.0 / m + z + gamma
+        return f, gamma_p - 1.0 / m**2, np.abs(f)
 
     def damped_step(z, m, f, fp):
         step = f / np.where(fp == 0.0, 1e-300, fp)
-        scale = np.ones(m.shape)
         candidate = m - step
-        for _ in range(60):
-            bad = (candidate.imag <= 0.0) | ~np.isfinite(candidate)
-            if not np.any(bad):
-                break
-            scale = np.where(bad, 0.5 * scale, scale)
-            candidate = m - scale * step
-        m = np.where((candidate.imag > 0.0) & np.isfinite(candidate), candidate, m)
+        good = (candidate.imag > 0.0) & np.isfinite(candidate)
+        if not good.all():
+            scale = np.ones(m.shape)
+            for _ in range(60):
+                scale = np.where(good, scale, 0.5 * scale)
+                candidate = m - scale * step
+                good = (candidate.imag > 0.0) & np.isfinite(candidate)
+                if good.all():
+                    break
+            candidate = np.where(good, candidate, m)
+        # a numpy scalar would take numpy's scalar-math routines, which may round otherwise
+        m = np.asarray(candidate)
         return (m,) + evaluate(z, m)
 
-    f, fp = evaluate(z, m)
+    f, fp, res = evaluate(z, m)
     iterations = 0
     for _ in range(MAX_NEWTON_ITERATIONS):
-        active = np.abs(f) > tol
-        if not np.any(active):
+        active = res > tol
+        if not active.any():
             break
         iterations += 1
-        if np.all(active):  # a 0-d point takes this branch and stays 0-d
-            m, f, fp = damped_step(z, m, f, fp)
+        if active.all():  # a 0-d point takes this branch and stays 0-d
+            m, f, fp, res = damped_step(z, m, f, fp)
         else:
-            m[active], f[active], fp[active] = damped_step(z[active], m[active], f[active], fp[active])
-    res = np.abs(f)
-    if np.any(res > tol):
+            i = active.nonzero()
+            m[i], f[i], fp[i], res[i] = damped_step(z[i], m[i], f[i], fp[i])
+    if (res > tol).any():
         worst = int(np.argmax(res / (1.0 + np.abs(z))))
         raise NoConvergenceError(complex(z.flat[worst]), float(res.flat[worst]))
     best_m, best_res = m, res
     for _ in range(polish):
-        m, f, fp = damped_step(z, m, f, fp)
-        res = np.abs(f)
+        m, f, fp, res = damped_step(z, m, f, fp)
         better = res < best_res
         best_m = np.where(better, m, best_m)
         best_res = np.where(better, res, best_res)
@@ -207,18 +211,18 @@ def continuation(z, spec: PolynomialSpec):
     (eta, m, residual, newton iterations) at each level, from H down.
     """
     z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0.0):
+    energy, eta_target = z.real, z.imag
+    if (eta_target <= 0.0).any():
         raise ValueError("spectral parameters must lie in the upper half-plane")
     gamma_p = gamma_and_prime(spec)
-    eta_target = z.imag
     top = 10.0 * np.float64(spec.coefficient_scale) ** 2
     if not np.isfinite(top):  # the walk down from an infinite H would never end
         raise SpecError(f"coefficients out of range: the continuation start 10 (1 + ||A|| + ||b|| + |c|)^2 = {top}")
     eta = np.maximum(np.full(z.shape, top), eta_target)
-    m = -1.0 / (z.real + 1j * eta)
+    m = -1.0 / (energy + 1j * eta)
     while True:
-        final = bool(np.all(eta == eta_target))
-        m, residual, iters = damped_newton(z.real + 1j * eta, m, gamma_p, polish=3 if final else 0)
+        final = bool((eta == eta_target).all())
+        m, residual, iters = damped_newton(energy + 1j * eta, m, gamma_p, polish=3 if final else 0)
         yield eta, m, residual, iters
         if final:
             return

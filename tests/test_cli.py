@@ -1,13 +1,16 @@
 import json
+import platform
 import time
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import quadspec
 import quadspec.cli as cli_module
 from quadspec import compute_density, compute_edges, quantiles
 from quadspec.cli import EXIT_CRITERIA, EXIT_INFRA, EXIT_INPUT, EXIT_OK, compare_ks, main, spec_digest
@@ -170,15 +173,17 @@ def test_analyze_overflowing_scale_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, spec, code",
+    "command, spec, code, kind",
     [
-        (["classify"], '{"l":2,"A":[[0,1e308],[1e308,0]],"b":[0,0],"c":0}', EXIT_INPUT),
-        (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1e-200]],"b":[0],"c":0}', EXIT_INFRA),
-        (["classify"], '{"l":1,"A":[[1]],"b":[1e200],"c":0}', EXIT_INPUT),
-        (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1]],"b":[1e200],"c":0}', EXIT_INPUT),
-        (["classify"], '{"l":1,"A":[[1e-100]],"b":[1e100],"c":0}', EXIT_INPUT),
-        (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1e-100]],"b":[1e100],"c":0}', EXIT_INPUT),
-        (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1e200]],"b":[0],"c":0}', EXIT_INFRA),
+        (["classify"], '{"l":2,"A":[[0,1e308],[1e308,0]],"b":[0,0],"c":0}', EXIT_INPUT, None),
+        (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1e-200]],"b":[0],"c":0}', EXIT_INFRA, None),
+        (["classify"], '{"l":1,"A":[[1]],"b":[1e200],"c":0}', EXIT_INPUT, None),
+        (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1]],"b":[1e200],"c":0}', EXIT_INPUT, None),
+        (["classify"], '{"l":1,"A":[[1e-100]],"b":[1e100],"c":0}', EXIT_INPUT, None),
+        (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1e-100]],"b":[1e100],"c":0}', EXIT_INPUT, None),
+        (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1e200]],"b":[0],"c":0}', EXIT_INFRA, None),
+        # ||b||^2 overflows, and b is orthogonal to v all the same
+        (["classify"], '{"l":2,"A":[[1e300,0],[0,0]],"b":[0,1e160],"c":0}', EXIT_OK, "NonReducible"),
     ],
     ids=[
         "overflowing-A",
@@ -188,16 +193,20 @@ def test_analyze_overflowing_scale_is_input_error(tmp_path, capsys):
         "small-alpha-classify",
         "small-alpha-analyze",
         "huge-A",
+        "b-off-the-span",
     ],
 )
-def test_handled_overflow_warns_nothing(command, spec, code, tmp_path, capsys):
+def test_handled_overflow_warns_nothing(command, spec, code, kind, tmp_path, capsys):
     # the overflow is turned into an exit code, so numpy has nothing to warn about
     out = ["--out", str(tmp_path / "o")] if command[0] == "analyze" else []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([*command, "--spec", spec, *out]) == code
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "RuntimeWarning" not in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "RuntimeWarning" not in captured.err
+    if kind is not None:
+        assert json.loads(captured.out)["kind"] == kind
 
 
 _numbers = st.one_of(
@@ -433,10 +442,21 @@ def test_compare_ks_mass_deficit(wigner_square_spec):
 
 def test_run_store_accumulates(anti_file, tmp_path):
     prefix = str(tmp_path / "acc")
-    main(["verify", "--suite", "lemmas", "--out", prefix])
-    main(["verify", "--suite", "lemmas", "--out", prefix])
+    reports = []
+    for _ in range(2):
+        assert main(["verify", "--suite", "lemmas", "--out", prefix]) == EXIT_OK
+        reports.append((tmp_path / "acc_report.json").read_bytes())
+    assert reports[0] == reports[1]  # timings and versions go to the run store only
     records = [json.loads(line) for line in open(prefix + "_runs.jsonl")]
     assert len(records) == 2
+    record = records[-1]
+    assert record["elapsed_s"] > 0.0
+    assert record["versions"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "quadspec": quadspec.__version__,
+    }
 
 
 def test_spec_hash_in_report_stable_under_reordering(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quadspec import poles, solve_m, validate_spec
+from quadspec import poles, scalar, solve_m, validate_spec
+from quadspec.mde import _a_delta, _gamma_delta_and_prime
 from quadspec.scalar import (
     CONTINUATION_RATIO,
     MAX_NEWTON_ITERATIONS,
@@ -363,3 +364,128 @@ def test_damped_newton_keeps_its_input(anticommutator_spec):
     m1, residual1, _ = damped_newton(np.array(z[1]), point, gp, polish=2)
     assert m1.shape == residual1.shape == ()
     assert point == kept[1]
+
+
+# damped_newton as it was before its per-iteration bookkeeping was trimmed,
+# kept as the oracle it must match bit for bit: m, |f| and the iterations
+def _oracle_damped_newton(z, m, gamma_and_prime, polish=0):
+    z = np.asarray(z, dtype=complex)
+    m = np.array(m, dtype=complex)
+    tol = RESIDUAL_RTOL * (1.0 + np.abs(z))
+
+    def evaluate(z, m):
+        gamma, gamma_p = gamma_and_prime(m)
+        return 1.0 / m + z + gamma, gamma_p - 1.0 / m**2
+
+    def damped_step(z, m, f, fp):
+        step = f / np.where(fp == 0.0, 1e-300, fp)
+        scale = np.ones(m.shape)
+        candidate = m - step
+        for _ in range(60):
+            bad = (candidate.imag <= 0.0) | ~np.isfinite(candidate)
+            if not np.any(bad):
+                break
+            scale = np.where(bad, 0.5 * scale, scale)
+            candidate = m - scale * step
+        m = np.where((candidate.imag > 0.0) & np.isfinite(candidate), candidate, m)
+        return (m,) + evaluate(z, m)
+
+    f, fp = evaluate(z, m)
+    iterations = 0
+    for _ in range(scalar.MAX_NEWTON_ITERATIONS):
+        active = np.abs(f) > tol
+        if not np.any(active):
+            break
+        iterations += 1
+        if np.all(active):
+            m, f, fp = damped_step(z, m, f, fp)
+        else:
+            m[active], f[active], fp[active] = damped_step(z[active], m[active], f[active], fp[active])
+    res = np.abs(f)
+    if np.any(res > tol):
+        worst = int(np.argmax(res / (1.0 + np.abs(z))))
+        raise NoConvergenceError(complex(z.flat[worst]), float(res.flat[worst]))
+    best_m, best_res = m, res
+    for _ in range(polish):
+        m, f, fp = damped_step(z, m, f, fp)
+        res = np.abs(f)
+        better = res < best_res
+        best_m = np.where(better, m, best_m)
+        best_res = np.where(better, res, best_res)
+        iterations += 1
+    return best_m, best_res, iterations
+
+
+def _assert_newton_matches_oracle(z, start, gp, polish):
+    try:
+        expected = _oracle_damped_newton(z, start, gp, polish)
+    except NoConvergenceError as exc:
+        with pytest.raises(NoConvergenceError) as caught:
+            damped_newton(z, start, gp, polish)
+        assert (caught.value.z, caught.value.residual) == (exc.z, exc.residual)
+        return False
+    m, residual, iterations = damped_newton(z, start, gp, polish)
+    assert type(m) is type(expected[0]) and type(residual) is type(expected[1])
+    assert _same_bits(m, expected[0]) and _same_bits(residual, expected[1])
+    assert iterations == expected[2]
+    return True
+
+
+def _full_step_leaves(z, start, gp):
+    """Whether the undamped first Newton step leaves the upper half-plane, per point."""
+    gamma, gamma_p = gp(start)
+    candidate = start - (1.0 / start + z + gamma) / (gamma_p - 1.0 / start**2)
+    return candidate.imag <= 0.0
+
+
+def _scattered_starts(rng, m, spread):
+    """Starts scattered around the solutions m, kept in the upper half-plane."""
+    start = m * (1.0 + spread * (rng.uniform(-1, 1, m.shape) + 1j * rng.uniform(-1, 1, m.shape)))
+    return start.real + 1j * np.abs(start.imag)
+
+
+def test_damped_newton_matches_oracle_bitwise(wigner_square_spec, anticommutator_spec, complex_half_spec):
+    rng = np.random.default_rng(61)
+    halving_runs = 0
+    for spec in (wigner_square_spec, anticommutator_spec, complex_half_spec):
+        gp = gamma_and_prime(spec)
+        z = rng.uniform(-3, 6, 36) + 1j * 10 ** rng.uniform(-3, 0, 36)
+        m = solve_branch(z, spec)[0]
+        scattered = _scattered_starts(rng, m, 0.5)  # every point active
+        partial = scattered.copy()
+        partial[::3] = m[::3]  # a third has converged: only the rest step
+        leaves = _full_step_leaves(z, scattered, gp)
+        k = int(np.flatnonzero(leaves & (np.arange(36) % 3 != 0))[0])
+        for start in (scattered, partial):
+            for polish in (0, 3):
+                cases = [(z, start), (z.reshape(6, 6), start.reshape(6, 6))]
+                # 0-d: point 0 (converged in the partial start) and point k, whose full step leaves
+                cases += [(np.array(z[i]), np.array(start[i])) for i in (0, k)]
+                for zz, ss in cases:
+                    assert _assert_newton_matches_oracle(zz, ss, gp, polish)
+                    halving_runs += bool(_full_step_leaves(zz, ss, gp).any())
+    assert halving_runs >= 36  # the 1-d, 2-d and k runs of every spec, start and polish
+
+
+def test_damped_newton_delta_map_matches_oracle_bitwise(anticommutator_spec, shifted_square_spec):
+    # the regularized self-energy of solve_m_delta, one point at a time
+    rng = np.random.default_rng(62)
+    for spec in (anticommutator_spec, shifted_square_spec):
+        for z, delta in ((0.7 + 0.01j, 0.5), (1.9 + 0.1j, 1.0), (-0.4 + 1e-4j, 0.25)):
+            A_delta, A_hat_delta = _a_delta(spec, z, delta)
+            gp = lambda x: _gamma_delta_and_prime(x, spec, A_delta, A_hat_delta)  # noqa: E731
+            seed = np.array(solve_m(z, spec).m)
+            for start in (seed, _scattered_starts(rng, seed, 0.1)):
+                for polish in (0, 3):
+                    assert _assert_newton_matches_oracle(np.array(z), start, gp, polish)
+
+
+def test_damped_newton_no_convergence_matches_oracle(anticommutator_spec, monkeypatch):
+    monkeypatch.setattr(scalar, "MAX_NEWTON_ITERATIONS", 2)
+    z = np.array([0.3 + 1e-3j, 2.5 + 1e-6j, -1.0 + 0.5j, 3.4 + 1e-2j])
+    gp = gamma_and_prime(anticommutator_spec)
+    start = -1.0 / (z.real + 1j)
+    for zz, ss in ((z, start), (np.array(z[1]), np.array(start[1]))):
+        with pytest.raises(NoConvergenceError):
+            _oracle_damped_newton(zz, ss, gp)
+        assert not _assert_newton_matches_oracle(zz, ss, gp, 0)
