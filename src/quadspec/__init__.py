@@ -20,13 +20,7 @@ from .model import (
     validate_spec,
 )
 from .scalar import PoleSet, StieltjesPoint, poles, solve_m
-from .edges import (
-    DirectionStats,
-    EdgeReport,
-    compute_edges,
-    compute_s_a,
-    find_edge_roots,
-)
+from .edges import DirectionStats, EdgeReport, compute_edges, compute_s_a
 from .density import DensityCurve, compute_density, fit_edge_exponent, quantiles, write_density_csv
 from .mde import (
     Linearization,
@@ -61,7 +55,6 @@ __all__ = [
     "solve_m",
     "EdgeReport",
     "DirectionStats",
-    "find_edge_roots",
     "compute_edges",
     "compute_s_a",
     "DensityCurve",

@@ -9,6 +9,10 @@ that side is a hard edge at -beta with a density blow-up whose exponent is
 -1/2, -1/4 (real direction at threshold xi = 2) or -1/3 (genuinely complex
 direction at threshold s xi = 2).  For alpha < 0 the roles of the left and
 the right edge are reversed.
+
+``compute_edges`` is the one entry point: per side it scans for the root,
+cross-checks the scan against the analytic edge verdict
+(``_hard_edge_exponents``) and builds the edge.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .model import PolynomialSpec, SpectralClassification, classify_polynomial, real_direction
-from .scalar import PoleSet, gamma_value, h_prime, h_value, poles
+from .scalar import gamma_value, h_prime, h_value, poles
 
 SCAN_POINTS = 400
 SCAN_INNER = 1e-8
@@ -178,67 +182,42 @@ def _hard_edge_exponents(classification: SpectralClassification) -> tuple[float 
     return (None, exponent) if classification.alpha > 0 else (exponent, None)
 
 
-def _checked_roots(
-    spec: PolynomialSpec, pole_set: PoleSet, exponents: tuple[float | None, float | None]
-) -> tuple[float | None, float | None]:
-    """Scan roots of h on both sides, cross-checked against the edge verdict."""
-    escaped = ESCAPED_ROOT_FACTOR * (1.0 + 1.0 / spec.norm_a)
-    out: list[float | None] = []
-    for side, boundary, exponent in zip((-1, +1), (pole_set.m_star_plus, pole_set.m_star_minus), exponents):
-        numeric = _scan_side(spec, boundary, side)
-        if exponent is None and numeric is None:
-            raise InconsistentClassificationError(
-                f"a root of h was expected on side {side:+d} but the scan found none"
-            )
-        if exponent is not None and numeric is not None and abs(numeric) < escaped:
-            raise InconsistentClassificationError(
-                f"analytic verdict says no root on side {side:+d} but the scan found m = {numeric}"
-            )
-        out.append(numeric if exponent is None else None)
-    return out[0], out[1]
-
-
-def find_edge_roots(
-    spec: PolynomialSpec,
-    pole_set: PoleSet | None = None,
-    classification: SpectralClassification | None = None,
-) -> tuple[float | None, float | None]:
-    """Roots (m_plus, m_minus) of h adjacent to the origin, None where absent.
-
-    Absence is decided analytically (the edge verdict of the reducible
-    classification) and cross-checked against the numeric scan; disagreement
-    raises InconsistentClassificationError.  A scan root at a magnitude far
-    beyond the coefficient scale is tolerated when the analytic verdict says
-    "no root": at a threshold equality the root escapes to infinity and a
-    polynomial within tolerance of the threshold may still show a remote sign
-    change.
-    """
-    if pole_set is None:
-        pole_set = poles(spec)
-    if classification is None:
-        classification = classify_polynomial(spec)
-    return _checked_roots(spec, pole_set, _hard_edge_exponents(classification))
-
-
 def compute_edges(spec: PolynomialSpec, classification: SpectralClassification | None = None) -> EdgeReport:
     """Locate tau_pm, certify regularity and classify a singular hard edge.
 
-    Regular edges come from the roots of h via tau = -1/m - gamma(m); a hard
-    edge sits at -beta (the classification shift) and carries the blow-up
-    exponent of the edge verdict.
+    On each side the scan for a root of h adjacent to 0 is cross-checked
+    against the edge verdict; a disagreement raises
+    InconsistentClassificationError.  A scan root far beyond the coefficient
+    scale is tolerated where the verdict says "no root": at a threshold
+    equality the root escapes to infinity, and a polynomial within tolerance
+    of the threshold may still show a remote sign change.  A regular edge
+    comes from its root m via tau = -1/m - gamma(m); a hard edge sits at
+    -beta (the classification shift) and carries the blow-up exponent of the
+    edge verdict.
     """
     if classification is None:
         classification = classify_polynomial(spec)
-    exponents = _hard_edge_exponents(classification)
-    roots = _checked_roots(spec, poles(spec), exponents)
-    sides = []  # (tau, regular, exponent, h'(m)) for the right, then the left edge
-    for m, exponent in zip(roots, exponents):
-        if m is None:
-            sides.append((-float(classification.beta), False, exponent, None))
-        else:
+    pole_set = poles(spec)
+    escaped = ESCAPED_ROOT_FACTOR * (1.0 + 1.0 / spec.norm_a)
+    sides = []  # (m, tau, regular, exponent, h'(m)) for the right edge (m_plus side), then the left edge
+    for side, boundary, exponent in zip(
+        (-1, +1), (pole_set.m_star_plus, pole_set.m_star_minus), _hard_edge_exponents(classification)
+    ):
+        m = _scan_side(spec, boundary, side)
+        if exponent is None and m is None:
+            raise InconsistentClassificationError(
+                f"a root of h was expected on side {side:+d} but the scan found none"
+            )
+        if exponent is not None and m is not None and abs(m) < escaped:
+            raise InconsistentClassificationError(
+                f"analytic verdict says no root on side {side:+d} but the scan found m = {m}"
+            )
+        if exponent is None:
             tau = float(np.real(-1.0 / m - gamma_value(complex(m), spec)))
-            sides.append((tau, True, 0.5, float(np.real(h_prime(complex(m), spec)))))
-    (tau_plus, right_regular, right_exponent, hp_plus), (tau_minus, left_regular, left_exponent, hp_minus) = sides
+            sides.append((m, tau, True, 0.5, float(np.real(h_prime(complex(m), spec)))))
+        else:
+            sides.append((None, -float(classification.beta), False, exponent, None))
+    (m_plus, tau_plus, right_regular, right_exponent, hp_plus), (m_minus, tau_minus, left_regular, left_exponent, hp_minus) = sides
 
     if not tau_plus > tau_minus:
         raise InconsistentClassificationError(
@@ -247,8 +226,8 @@ def compute_edges(spec: PolynomialSpec, classification: SpectralClassification |
     return EdgeReport(
         tau_plus=tau_plus,
         tau_minus=tau_minus,
-        m_plus=roots[0],
-        m_minus=roots[1],
+        m_plus=m_plus,
+        m_minus=m_minus,
         right_edge_regular=right_regular,
         left_edge_regular=left_regular,
         left_exponent=left_exponent,

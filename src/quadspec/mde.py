@@ -198,7 +198,9 @@ def solve_m_delta(z: complex, delta: float, spec: PolynomialSpec) -> MDESolution
     m = solve_m(z, spec).m
     if delta > 0.0:
         try:
-            m = _m_delta_from(m, z, delta, spec)
+            # a jump that diverges raises NoConvergenceError and falls back to the ramp below
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                m = _m_delta_from(m, z, delta, spec)
         except NoConvergenceError:
             for step_delta in np.linspace(0.0, delta, 9)[1:]:
                 m = _m_delta_from(m, z, float(step_delta), spec)

@@ -3,8 +3,8 @@
 A quadratic polynomial of ``l`` independent Wigner matrices is described by a
 Hermitian matrix ``A`` (quadratic part), a real vector ``b`` (linear part) and
 a real constant ``c``.  Every analytic module works off the eigendata of ``A``
-and of its entrywise real part ``A_hat``, so both are computed once here and
-cached on the (immutable) spec object.
+and the b-weighted eigenvalues of its entrywise real part ``A_hat``, so both
+are computed once here and cached on the (immutable) spec object.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ class PolynomialSpec:
     """Validated coefficients plus eigendata shared by the analytic modules.
 
     ``eig_a``/``vec_a`` are the eigenvalues (ascending) and orthonormal
-    eigenvector columns of ``A``; ``eig_a_hat``/``vec_a_hat`` the same for the
-    entrywise real part ``A_hat = (A + A^t)/2``; ``b_proj[i] = |<w_i, b>|^2``
-    for the ``A_hat`` eigenvectors ``w_i``.  The self-energy reads the split
-    ``mu`` (the eigenvalues of A above 1e-14 ||A||) and ``mu_hat``/``w2``
-    (the A_hat eigenvalues and b weights with weight above 1e-12 ||b||^2).
+    eigenvector columns of ``A``, and ``mu`` the eigenvalues above
+    1e-14 ||A||.  ``mu_hat``/``w2`` are the eigenvalues mu_hat_i of the
+    entrywise real part ``A_hat = (A + A^t)/2`` and the b weights
+    ``|<w_i, b>|^2`` of its eigenvectors w_i, kept where the weight exceeds
+    1e-12 ||b||^2; the self-energy reads ``mu``, ``mu_hat`` and ``w2``.
     Arrays are read-only.
     """
 
@@ -55,12 +55,8 @@ class PolynomialSpec:
     A: np.ndarray
     b: np.ndarray
     c: float
-    A_hat: np.ndarray
     eig_a: np.ndarray
     vec_a: np.ndarray
-    eig_a_hat: np.ndarray
-    vec_a_hat: np.ndarray
-    b_proj: np.ndarray
     mu: np.ndarray
     mu_hat: np.ndarray
     w2: np.ndarray
@@ -141,7 +137,7 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
     ``HERMITICITY_RTOL * ||A||`` and rejects it otherwise, and rejects an A
     whose symmetrized form or eigendata overflow.  Eigendata of A and A_hat are
     computed here, together with the squared projections of b onto the A_hat
-    eigenbasis.
+    eigenbasis, which select the A_hat eigenvalues that b reaches.
     """
     if not isinstance(l, (int, np.integer)) or l < 1:
         raise DimensionMismatchError(f"l must be a positive integer, got {l!r}")
@@ -186,12 +182,8 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
         A=_freeze(A),
         b=_freeze(b_arr),
         c=c,
-        A_hat=_freeze(A_hat),
         eig_a=_freeze(eig_a),
         vec_a=_freeze(vec_a),
-        eig_a_hat=_freeze(eig_a_hat),
-        vec_a_hat=_freeze(vec_a_hat),
-        b_proj=_freeze(b_proj),
         mu=_freeze(mu),
         mu_hat=_freeze(eig_a_hat[keep]),
         w2=_freeze(b_proj[keep]),
@@ -269,12 +261,17 @@ def real_direction(v: np.ndarray, rtol: float = 1e-10) -> np.ndarray | None:
     return u / n
 
 
+def _b_unit(b: np.ndarray) -> float:
+    """max |b_i| once that exceeds 1, else 1: the b tests of the classification
+    compare in this unit, so that no norm of b overflows."""
+    return max(float(np.max(np.abs(b))), 1.0)
+
+
 def _off_span(b: np.ndarray, fit: np.ndarray) -> bool:
-    """||b - fit|| > B_SPAN_TOL (||b|| + 1), both sides in units of max |b_i| once
-    that exceeds 1, so that neither norm overflows."""
-    scale = max(float(np.max(np.abs(b))), 1.0)
-    residual = np.linalg.norm(b / scale - fit / scale)
-    return bool(residual > B_SPAN_TOL * (np.linalg.norm(b / scale) + 1.0 / scale))
+    """||b - fit|| > B_SPAN_TOL (||b|| + 1), both sides in units of ``_b_unit(b)``."""
+    unit = _b_unit(b)
+    residual = np.linalg.norm(b / unit - fit / unit)
+    return bool(residual > B_SPAN_TOL * (np.linalg.norm(b / unit) + 1.0 / unit))
 
 
 def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
@@ -284,7 +281,9 @@ def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
     b = -alpha xi (v + conj(v)) for some xi >= 0 once the phase freedom of v
     is fixed; the phase is chosen in closed form as the least-squares
     minimizer of ||b + alpha xi (e^{i phi} v + e^{-i phi} conj(v))||.  A xi
-    with |alpha| xi below ``B_SPAN_TOL`` times the coefficient scale is zero.
+    with |alpha| xi below ``B_SPAN_TOL`` times the coefficient scale is zero;
+    the comparison runs in units of ``_b_unit(b)``, so an overflowing ||b||
+    cannot zero xi.
     WignerSquare is reported when additionally v is real up to phase and
     xi = 0 (the most specific kind wins).
     """
@@ -317,15 +316,13 @@ def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
         c1, c2 = float(coeffs[0]), float(coeffs[1])
         xi = float(np.hypot(c1, c2) / (2.0 * abs(alpha)))
 
-    try:
-        beta = alpha * xi**2 - spec.c
-    except OverflowError:
-        beta = float("inf")
+    unit = _b_unit(b)
+    scale = (1.0 + spec.norm_a) / unit + np.linalg.norm(b / unit) + abs(spec.c) / unit
+    if xi * abs(alpha) / unit <= B_SPAN_TOL * scale:
+        xi = 0.0
+    beta = alpha * (xi * xi) - spec.c  # a float product overflows to inf where ** would raise
     if not np.isfinite(beta):
         raise SpecError(f"classification overflows (alpha = {alpha:.3e}, xi = {xi:.3e}): coefficients out of range")
-    if xi * abs(alpha) <= B_SPAN_TOL * spec.coefficient_scale:
-        xi = 0.0
-        beta = alpha * xi**2 - spec.c
     if real_up_to_phase:
         v_fixed = u.astype(complex)
     elif xi == 0.0:
@@ -337,24 +334,16 @@ def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
         sin_phi = c2 / (2.0 * alpha * xi)
         phi = float(np.arctan2(sin_phi, cos_phi))
         v_fixed = v * np.exp(1j * phi)
-    if real_up_to_phase and xi == 0.0:
-        return SpectralClassification(
-            kind="WignerSquare",
-            alpha=alpha,
-            beta=beta,
-            xi=0.0,
-            v=_freeze(v_fixed),
-            v_is_real_up_to_phase=True,
-            a=alpha,
-            c_shift=spec.c,
-        )
+    square = real_up_to_phase and xi == 0.0
     return SpectralClassification(
-        kind="ShiftedReducible",
+        kind="WignerSquare" if square else "ShiftedReducible",
         alpha=alpha,
         beta=beta,
         xi=xi,
         v=_freeze(v_fixed),
         v_is_real_up_to_phase=real_up_to_phase,
+        a=alpha if square else None,
+        c_shift=spec.c if square else None,
     )
 
 

@@ -21,7 +21,6 @@ from .model import EIG_ZERO_RTOL, PolynomialSpec, SpecError
 RESIDUAL_RTOL = 1e-11
 CONTINUATION_RATIO = 0.7
 MAX_NEWTON_ITERATIONS = 200
-REAL_AXIS_ETA = 1e-9
 
 
 class NoConvergenceError(RuntimeError):
@@ -45,14 +44,14 @@ class StieltjesPoint:
 
 @dataclass(frozen=True)
 class PoleSet:
-    """Real poles of gamma and h with the maximal pole-free intervals around 0.
+    """Real poles of gamma with the maximal pole-free intervals around 0.
 
-    ``(m_star_plus, 0)`` and ``(0, m_star_minus)`` are the maximal intervals to
-    the left and the right of the origin on which h is continuous.
+    h has the same poles plus 0, so ``(m_star_plus, 0)`` and
+    ``(0, m_star_minus)`` are the maximal intervals to the left and the right
+    of the origin on which h is continuous.
     """
 
     gamma_poles: np.ndarray
-    h_poles: np.ndarray
     m_star_plus: float
     m_star_minus: float
 
@@ -117,14 +116,12 @@ def poles(spec: PolynomialSpec) -> PoleSet:
     gamma_list = [-1.0 / x for x in mu]
     gamma_list += [-0.5 / x for x in mu_hat[np.abs(mu_hat) > EIG_ZERO_RTOL * max(spec.norm_a, 1e-300)]]
     gamma_poles = np.array(sorted(gamma_list))
-    h_poles = np.array(sorted(gamma_list + [0.0]))
     negative = gamma_poles[gamma_poles < 0.0]
     positive = gamma_poles[gamma_poles > 0.0]
     m_star_plus = float(negative.max()) if len(negative) else -np.inf
     m_star_minus = float(positive.min()) if len(positive) else np.inf
     return PoleSet(
         gamma_poles=gamma_poles,
-        h_poles=h_poles,
         m_star_plus=m_star_plus,
         m_star_minus=m_star_minus,
     )

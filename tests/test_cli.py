@@ -3,6 +3,7 @@ import platform
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +185,8 @@ def test_analyze_overflowing_scale_is_input_error(tmp_path, capsys):
         (["analyze", "--n-grid", "64"], '{"l":1,"A":[[1e200]],"b":[0],"c":0}', EXIT_INFRA, None),
         # ||b||^2 overflows, and b is orthogonal to v all the same
         (["classify"], '{"l":2,"A":[[1e300,0],[0,0]],"b":[0,1e160],"c":0}', EXIT_OK, "NonReducible"),
+        # ||b||^2 overflows, and q = alpha (X + 5e146)^2 - 2.5e306 is a shifted square all the same
+        (["classify"], '{"l":1,"A":[[1e13]],"b":[1e160],"c":0}', EXIT_OK, "ShiftedReducible"),
     ],
     ids=[
         "overflowing-A",
@@ -194,6 +197,7 @@ def test_analyze_overflowing_scale_is_input_error(tmp_path, capsys):
         "small-alpha-analyze",
         "huge-A",
         "b-off-the-span",
+        "b-overflows-shifted-square",
     ],
 )
 def test_handled_overflow_warns_nothing(command, spec, code, kind, tmp_path, capsys):
@@ -270,7 +274,7 @@ def test_near_real_direction_is_not_input_error(eps, tmp_path):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code in ((EXIT_OK,) if eps >= 1e-6 else (EXIT_OK, EXIT_INFRA))
     if code == EXIT_OK:
-        edges = json.loads(open(prefix + "_edges.json").read())
+        edges = json.loads(Path(prefix + "_edges.json").read_text())
         assert edges["tau_plus"] == pytest.approx(9.0, abs=1e-9)  # the eps = 0 edges of (X1 - 1)^2
         assert edges["tau_minus"] == pytest.approx(0.0, abs=1e-9)
 
@@ -278,17 +282,17 @@ def test_near_real_direction_is_not_input_error(eps, tmp_path):
 def test_analyze_squared_wigner(wsq_file, tmp_path, capsys):
     prefix = str(tmp_path / "wsq")
     assert main(["analyze", "--spec", wsq_file, "--out", prefix]) == EXIT_OK
-    edges = json.loads(open(prefix + "_edges.json").read())
+    edges = json.loads(Path(prefix + "_edges.json").read_text())
     assert edges["tau_plus"] == pytest.approx(4.0, abs=1e-9)
     assert edges["tau_minus"] == pytest.approx(0.0, abs=1e-9)
     assert edges["left_exponent"] == pytest.approx(-0.5)
     assert edges["tau_star"] == pytest.approx(4.0, abs=1e-9)
-    lines = open(prefix + "_density.csv").read().splitlines()
+    lines = Path(prefix + "_density.csv").read_text().splitlines()
     assert lines[0] == "E,rho"
-    plot = open(prefix + "_plot.gp").read()
+    plot = Path(prefix + "_plot.gp").read_text()
     assert "wsq_density.csv" in plot
     # run store appended
-    records = [json.loads(line) for line in open(prefix + "_runs.jsonl")]
+    records = [json.loads(line) for line in Path(prefix + "_runs.jsonl").read_text().splitlines()]
     assert records[0]["command"] == "analyze"
     assert "timestamp" in records[0]
 
@@ -296,14 +300,14 @@ def test_analyze_squared_wigner(wsq_file, tmp_path, capsys):
 def test_analyze_anticommutator_tau_star(anti_file, tmp_path):
     prefix = str(tmp_path / "anti")
     assert main(["analyze", "--spec", anti_file, "--out", prefix]) == EXIT_OK
-    edges = json.loads(open(prefix + "_edges.json").read())
+    edges = json.loads(Path(prefix + "_edges.json").read_text())
     assert edges["tau_star"] == pytest.approx(3.3301906, abs=1e-6)
 
 
 def test_analyze_complex_threshold_exponent(complex_file, tmp_path):
     prefix = str(tmp_path / "cx")
     assert main(["analyze", "--spec", complex_file, "--out", prefix]) == EXIT_OK
-    edges = json.loads(open(prefix + "_edges.json").read())
+    edges = json.loads(Path(prefix + "_edges.json").read_text())
     assert edges["left_exponent"] == pytest.approx(-1.0 / 3.0, abs=1e-9)
     assert edges["classification"]["kind"] == "ShiftedReducible"
 
@@ -328,7 +332,7 @@ def test_verify_lemmas_pass_and_determinism(tmp_path, capsys):
     assert "PASS lemmas/quad_stability" in out
     assert "PASS lemmas/entrywise_real_part" in out
     assert main(["verify", "--suite", "lemmas", "--seed", "7", "--out", p2]) == EXIT_OK
-    assert open(p1 + "_report.json", "rb").read() == open(p2 + "_report.json", "rb").read()
+    assert Path(p1 + "_report.json").read_bytes() == Path(p2 + "_report.json").read_bytes()
 
 
 def test_verify_requires_spec(tmp_path):
@@ -373,7 +377,7 @@ def test_verify_density_small(anti_file, tmp_path, capsys):
          "--seed", "1", "--out", prefix]
     )
     assert code == EXIT_OK
-    report = json.loads(open(prefix + "_report.json").read())
+    report = json.loads(Path(prefix + "_report.json").read_text())
     assert report["ks_distance"] <= 0.05
     assert report["pass_flags"] == {"ks_distance": True, "mass": True}
 
@@ -387,7 +391,7 @@ def test_verify_failure_exit_code(anti_file, tmp_path, monkeypatch):
     )
     assert code == EXIT_CRITERIA
     # the report is still written on failure
-    report = json.loads(open(prefix + "_report.json").read())
+    report = json.loads(Path(prefix + "_report.json").read_text())
     assert report["pass_flags"]["ks_distance"] is False
 
 
@@ -400,7 +404,7 @@ def test_verify_stability_anticommutator(anti_file, tmp_path):
     prefix = str(tmp_path / "st")
     code = main(["verify", "--suite", "stability", "--spec", anti_file, "--seed", "3", "--out", prefix])
     assert code == EXIT_OK
-    report = json.loads(open(prefix + "_report.json").read())
+    report = json.loads(Path(prefix + "_report.json").read_text())
     assert report["values"]["max_de_residual"] <= 1e-9
     assert set(report["values"]["beta_slopes"]) == {"left", "right"}
     for slope in report["values"]["beta_slopes"].values():
@@ -447,7 +451,7 @@ def test_run_store_accumulates(anti_file, tmp_path):
         assert main(["verify", "--suite", "lemmas", "--out", prefix]) == EXIT_OK
         reports.append((tmp_path / "acc_report.json").read_bytes())
     assert reports[0] == reports[1]  # timings and versions go to the run store only
-    records = [json.loads(line) for line in open(prefix + "_runs.jsonl")]
+    records = [json.loads(line) for line in Path(prefix + "_runs.jsonl").read_text().splitlines()]
     assert len(records) == 2
     record = records[-1]
     assert record["elapsed_s"] > 0.0
@@ -525,8 +529,8 @@ def test_verify_report_independent_of_threads(suite, anti_file, tmp_path, monkey
              "--seed", "3", "--threads", str(threads), "--out", prefix]
         )
         assert code in (EXIT_OK, EXIT_CRITERIA)
-        reports.append(open(prefix + "_report.json", "rb").read())
-        record = json.loads(open(prefix + "_runs.jsonl").read())
+        reports.append(Path(prefix + "_report.json").read_bytes())
+        record = json.loads(Path(prefix + "_runs.jsonl").read_text())
         assert record["threads"] == threads
         assert record["trial_workers"] == trial_workers(threads, 2)
         assert "threads" not in json.loads(reports[-1])["config"]

@@ -7,13 +7,18 @@ from quadspec import (
     classify_polynomial,
     compute_edges,
     compute_s_a,
-    find_edge_roots,
     poles,
     reducible_spec,
     solve_m,
     validate_spec,
 )
-from quadspec.edges import THRESHOLD_RTOL, RealDirectionError, _hard_edge_exponents, _scan_grid
+from quadspec.edges import (
+    THRESHOLD_RTOL,
+    InconsistentClassificationError,
+    RealDirectionError,
+    _hard_edge_exponents,
+    _scan_grid,
+)
 from quadspec.scalar import h_prime, h_value
 
 ANTI_M = np.sqrt(np.sqrt(5.0) - 2.0)  # root of m^4 + 4 m^2 - 1 = 0
@@ -33,6 +38,12 @@ class RootVerdict:
     decay_exponent: int | None = None
 
 
+def _hat_eigendata(spec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of A_hat = (A + A^t)/2 and the squared projections of b on its eigenvectors."""
+    hat_vals, hat_vecs = np.linalg.eigh(0.5 * (spec.A + spec.A.T).real)
+    return hat_vals, np.abs(hat_vecs.T @ spec.b) ** 2
+
+
 def root_existence_conditions(spec) -> RootVerdict:
     """Oracle: analytic root existence for h on (m_*^+, 0) from the raw coefficients.
 
@@ -41,37 +52,40 @@ def root_existence_conditions(spec) -> RootVerdict:
     critical size: ||b|| <= 4 ||A|| for real A, or the r_pm-weighted variant
     for genuinely complex A.  Threshold equalities are decided with relative
     tolerance 1e-9 and sharpen the decay of h from (-m)^{-3} to (-m)^{-5}
-    (real) or (-m)^{-4} (complex).  It works from the eigendata of A and
-    A_hat, independently of the classification that compute_edges uses.
+    (real) or (-m)^{-4} (complex).  It computes the eigendata of A and A_hat
+    itself, independently of the spec's cached eigendata and of the
+    classification that compute_edges uses.
     """
     svals = np.linalg.svd(spec.A, compute_uv=False)
     rank_one = spec.l == 1 or svals[1] <= RANK_RTOL * svals[0]
     if not rank_one:
         return RootVerdict(root_exists=True)
-    alpha = float(spec.eig_a[int(np.argmax(np.abs(spec.eig_a)))])
+    eig_a = np.linalg.eigvalsh(spec.A)
+    alpha = float(eig_a[int(np.argmax(np.abs(eig_a)))])
     if alpha > 0:
         return RootVerdict(root_exists=True)
 
-    norm_a = spec.norm_a
-    hat_vals = spec.eig_a_hat
+    norm_a = abs(alpha)
+    norm_b = float(np.linalg.norm(spec.b))
+    hat_vals, b_proj = _hat_eigendata(spec)
     kernel = np.abs(hat_vals) <= RANK_RTOL * norm_a
-    kernel_weight = float(np.sum(spec.b_proj[kernel]))
-    image_tol = 1e-10 * (spec.norm_b + 1.0)
+    kernel_weight = float(np.sum(b_proj[kernel]))
+    image_tol = 1e-10 * (norm_b + 1.0)
     if kernel_weight > image_tol**2:
         return RootVerdict(root_exists=True)
 
     is_real = np.max(np.abs(spec.A.imag)) <= 1e-14 * norm_a
     if is_real:
         crit = 4.0 * norm_a
-        if spec.norm_b > crit * (1.0 + THRESHOLD_RTOL):
+        if norm_b > crit * (1.0 + THRESHOLD_RTOL):
             return RootVerdict(root_exists=True)
-        if abs(spec.norm_b - crit) <= THRESHOLD_RTOL * crit:
+        if abs(norm_b - crit) <= THRESHOLD_RTOL * crit:
             return RootVerdict(root_exists=False, decay_exponent=5)
         return RootVerdict(root_exists=False, decay_exponent=3)
 
     nz = ~kernel
     mu_pm = hat_vals[nz]
-    w_pm = spec.b_proj[nz]
+    w_pm = b_proj[nz]
     r_pm = -mu_pm / norm_a
     weighted = float(np.sum(w_pm / r_pm**3))
     crit = (4.0 * norm_a) ** 2
@@ -89,31 +103,42 @@ def _count_sign_changes(spec, boundary, sign) -> int:
 
 
 def test_find_roots_squared_wigner(wigner_square_spec):
-    m_plus, m_minus = find_edge_roots(wigner_square_spec)
-    assert m_plus == pytest.approx(-0.5, abs=1e-12)
-    assert m_minus is None
+    rep = compute_edges(wigner_square_spec)
+    assert rep.m_plus == pytest.approx(-0.5, abs=1e-12)
+    assert rep.m_minus is None
 
 
 def test_find_roots_anticommutator(anticommutator_spec):
-    m_plus, m_minus = find_edge_roots(anticommutator_spec)
-    assert m_plus == pytest.approx(-ANTI_M, abs=1e-12)
-    assert m_minus == pytest.approx(ANTI_M, abs=1e-12)
+    rep = compute_edges(anticommutator_spec)
+    assert rep.m_plus == pytest.approx(-ANTI_M, abs=1e-12)
+    assert rep.m_minus == pytest.approx(ANTI_M, abs=1e-12)
 
 
 def test_find_roots_shifted_square_below_threshold(shifted_square_spec):
     # real direction with xi = 1 < 2: no root on the right interval
-    _, m_minus = find_edge_roots(shifted_square_spec)
-    assert m_minus is None
+    assert compute_edges(shifted_square_spec).m_minus is None
 
 
 def test_root_first_order_signs(wigner_square_spec, anticommutator_spec):
     for spec in (wigner_square_spec, anticommutator_spec):
-        m_plus, m_minus = find_edge_roots(spec)
-        assert abs(h_value(complex(m_plus), spec)) <= 1e-10
-        assert np.real(h_prime(complex(m_plus), spec)) > 0
-        if m_minus is not None:
-            assert abs(h_value(complex(m_minus), spec)) <= 1e-10
-            assert np.real(h_prime(complex(m_minus), spec)) < 0
+        rep = compute_edges(spec)
+        assert abs(h_value(complex(rep.m_plus), spec)) <= 1e-10
+        assert np.real(h_prime(complex(rep.m_plus), spec)) > 0
+        if rep.m_minus is not None:
+            assert abs(h_value(complex(rep.m_minus), spec)) <= 1e-10
+            assert np.real(h_prime(complex(rep.m_minus), spec)) < 0
+
+
+def test_scan_disagreeing_with_the_verdict_raises(wigner_square_spec, anticommutator_spec, monkeypatch):
+    # the anticommutator has a root on both sides, and X^2 none on side +1
+    monkeypatch.setattr("quadspec.edges._hard_edge_exponents", lambda classification: (None, -0.5))
+    with pytest.raises(InconsistentClassificationError, match="analytic verdict says no root on side \\+1"):
+        compute_edges(anticommutator_spec)
+    monkeypatch.setattr("quadspec.edges._hard_edge_exponents", lambda classification: (None, None))
+    with pytest.raises(
+        InconsistentClassificationError, match="a root of h was expected on side \\+1 but the scan found none"
+    ):
+        compute_edges(wigner_square_spec)
 
 
 def test_edges_squared_wigner(wigner_square_spec):
@@ -219,9 +244,10 @@ def test_direction_stats_match_weighted_eigendata():
             continue
         xi = float(np.abs(rng.standard_normal()) + 0.1)
         neg = reducible_spec(-1.0, xi, v)
-        nz = np.abs(neg.eig_a_hat) > 1e-10
-        r = -neg.eig_a_hat[nz] / neg.norm_a
-        weighted = float(np.sum(neg.b_proj[nz] / r**3))
+        hat_vals, b_proj = _hat_eigendata(neg)
+        nz = np.abs(hat_vals) > 1e-10
+        r = -hat_vals[nz] / neg.norm_a
+        weighted = float(np.sum(b_proj[nz] / r**3))
         assert weighted == pytest.approx(4.0 * xi**2 * st.s**2, rel=1e-8)
         checked += 1
 

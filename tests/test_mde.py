@@ -165,6 +165,19 @@ def test_m_delta_matches_oracle(wigner_square_spec, anticommutator_spec, complex
             assert abs(solve_m_delta(z, delta, spec).m_delta - expected) <= 1e-14 * abs(expected)
 
 
+def test_diverging_delta_jump_falls_back_quietly():
+    # the direct Newton jump to delta diverges here (residual 4e17) and the eight-step ramp
+    # recovers; the jump must not warn on the way (singular A, a real l = 2 spec with b)
+    spec = validate_spec(
+        2,
+        [[-0.9660455935499719, 0.6541061227473745], [0.6541061227473745, -0.4428929883561144]],
+        [4.625388170941528, -3.131834297362932],
+        -7.4578613509926335,
+    )
+    sol = solve_m_delta(-1.9042255965611545 + 0.01239788308721512j, 0.863173076188803, spec)
+    assert sol.m_delta == -0.653493657512861 + 0.3327924076103988j
+
+
 def test_regularization_error_linear_off_support(wigner_square_spec):
     # |m_delta - m| <= C eta at fixed E off the support; the constant is fit
     # at eta = 1e-3 and reused below it

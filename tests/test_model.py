@@ -17,16 +17,20 @@ from quadspec.model import (
 def test_scalar_spec_eigendata():
     spec = validate_spec(1, [[1.0]], [0.0], 0.0)
     assert spec.eig_a.tolist() == [1.0]
-    assert spec.eig_a_hat.tolist() == [1.0]
-    assert abs(abs(spec.vec_a_hat[0, 0]) - 1.0) < 1e-15
-    assert spec.b_proj.tolist() == [0.0]
+    assert spec.mu.tolist() == [1.0]
+    assert spec.mu_hat.size == 0 and spec.w2.size == 0  # b = 0 weighs no A_hat direction
+    with_b = validate_spec(1, [[1.0]], [3.0], 0.0)
+    assert with_b.mu_hat.tolist() == [1.0] and with_b.w2.tolist() == [9.0]
 
 
 def test_two_by_two_eigendata():
     # hand oracle: [[0,1],[1,0]] has eigenvalues -1, +1 with vectors (1, ∓1)/sqrt 2
     spec = validate_spec(2, [[0, 1], [1, 0]], [0, 0], 0.0)
     assert np.allclose(spec.eig_a, [-1.0, 1.0], atol=1e-14)
-    assert np.allclose(spec.eig_a_hat, [-1.0, 1.0], atol=1e-14)
+    # b = (1, 0) weighs each A_hat eigenvector by 1/2
+    with_b = validate_spec(2, [[0, 1], [1, 0]], [1, 0], 0.0)
+    assert np.allclose(with_b.mu_hat, [-1.0, 1.0], atol=1e-14)
+    assert np.allclose(with_b.w2, [0.5, 0.5], atol=1e-14)
 
 
 def test_zero_a_rejected():
@@ -72,16 +76,17 @@ def test_eigendata_invariants_random():
         l = int(rng.integers(1, 7))
         g = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
         spec = validate_spec(l, 0.5 * (g + g.conj().T), rng.standard_normal(l), float(rng.standard_normal()))
-        # orthonormality and reconstruction of the A_hat eigendata
-        gram = spec.vec_a_hat.T @ spec.vec_a_hat
-        assert np.max(np.abs(gram - np.eye(l))) < 1e-12
-        recon = (spec.vec_a_hat * spec.eig_a_hat) @ spec.vec_a_hat.T
-        assert np.linalg.norm(recon - spec.A_hat) <= 1e-10 * max(np.linalg.norm(spec.A_hat), 1e-300)
+        # mu_hat / w2 are the A_hat eigenvalues and b weights above 1e-12 ||b||^2
+        hat_vals, hat_vecs = np.linalg.eigh(0.5 * (spec.A + spec.A.T).real)
+        b_proj = np.abs(hat_vecs.T @ spec.b) ** 2
+        keep = b_proj > 1e-12 * spec.norm_b**2
+        assert np.allclose(spec.mu_hat, hat_vals[keep], rtol=0, atol=1e-12)
+        assert np.allclose(spec.w2, b_proj[keep], rtol=0, atol=1e-12)
         # entrywise-real-part comparisons
         scale = max(spec.norm_a, 1e-300)
-        assert spec.eig_a[-1] >= spec.eig_a_hat[-1] - 1e-10 * scale
-        assert spec.eig_a[0] <= spec.eig_a_hat[0] + 1e-10 * scale
-        assert spec.norm_a >= np.max(np.abs(spec.eig_a_hat)) - 1e-10 * scale
+        assert spec.eig_a[-1] >= hat_vals[-1] - 1e-10 * scale
+        assert spec.eig_a[0] <= hat_vals[0] + 1e-10 * scale
+        assert spec.norm_a >= np.max(np.abs(hat_vals)) - 1e-10 * scale
 
 
 def test_entrywise_real_part_suite():

@@ -160,7 +160,6 @@ def test_pole_sets(wigner_square_spec, anticommutator_spec):
     assert ps.gamma_poles.tolist() == [-1.0]
     assert ps.m_star_plus == -1.0
     assert ps.m_star_minus == np.inf
-    assert 0.0 in ps.h_poles
 
     ps2 = poles(anticommutator_spec)
     assert np.allclose(ps2.gamma_poles, [-1.0, 1.0])
