@@ -23,10 +23,8 @@ from .scalar import PoleSet, StieltjesPoint, poles, solve_m
 from .edges import DirectionStats, EdgeReport, compute_edges, compute_s_a
 from .density import DensityCurve, compute_density, fit_edge_exponent, quantiles, write_density_csv
 from .mde import (
-    Linearization,
     MDESolution,
     StabilityReport,
-    build_linearization,
     gamma_operator,
     m_matrix,
     solve_m_delta,
@@ -62,10 +60,8 @@ __all__ = [
     "quantiles",
     "fit_edge_exponent",
     "write_density_csv",
-    "Linearization",
     "MDESolution",
     "StabilityReport",
-    "build_linearization",
     "gamma_operator",
     "m_matrix",
     "solve_m_delta",

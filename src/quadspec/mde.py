@@ -1,13 +1,16 @@
-"""Linearization data, the regularized Dyson equation, and its stability operator.
+"""The regularized Dyson equation of the linearization and its stability operator.
 
 The (l+1)-dimensional linearization replaces q by the pencil
-K_0 + sum_j K_j x_j whose generalized resolvent has the resolvent of q as its
-(1,1) block.  The Dyson equation
+K_0 + sum_j K_j x_j, with K_0 = diag(c, -A^{-1}) and K_j = b_j E_00 + E_0j +
+E_j0, whose generalized resolvent has the resolvent of q as its (1,1) block.
+The Dyson equation
 
-    I + (z J + i eta delta (I - J) - K_0 + Gamma[M]) M = 0
+    I + (z J + i eta delta (I - J) - K_0 + Gamma[M]) M = 0,    J = E_00,
 
 has a solution M expressible through its (1,1) entry m_delta, which solves the
-scalar equation -1/m = z + gamma_delta(m).  The stability operator
+scalar equation -1/m = z + gamma_delta(m).  Gamma[R] = sum_j K_j R K_j is
+applied in closed form by ``gamma_operator``, and the matrix K_0 is formed only
+inside the equation's residual.  The stability operator
 L[R] = R - M Gamma[R] M is materialized densely on the (l+1)^2-dimensional
 matrix space; its smallest eigenvalue beta vanishes like sqrt(kappa + eta) at
 a regular edge, with right eigenvector proportional to dM/dm and left
@@ -30,20 +33,12 @@ BETA_KAPPAS = (1e-2, 1e-4, 1e-6)
 
 
 class SingularAError(ValueError):
-    """A is not invertible; use an epsilon-perturbed spec for linearization data."""
+    """A is not invertible, so K0 and the Dyson-equation residual do not exist;
+    use an epsilon-perturbed spec."""
 
 
 class WignerSquareUnsupportedError(ValueError):
     """The stability operator has an extra unstable direction for shifted Wigner squares."""
-
-
-@dataclass(frozen=True)
-class Linearization:
-    """Coefficient matrices of the linearization pencil (requires invertible A)."""
-
-    K0: np.ndarray
-    K: tuple[np.ndarray, ...]
-    J: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,8 +49,6 @@ class MDESolution:
     Gamma[M]) M; it is NaN when A is singular (K0 does not exist there).
     """
 
-    z: complex
-    delta: float
     m_delta: complex
     M: np.ndarray
     de_residual: float
@@ -71,8 +64,6 @@ class StabilityReport:
     ``isolated`` whether the gap clears 2 |beta| + 0.01.
     """
 
-    z: complex
-    delta: float
     beta: complex
     B: np.ndarray
     L: np.ndarray
@@ -88,28 +79,8 @@ def a_is_singular(spec: PolynomialSpec) -> bool:
     return bool(np.min(np.abs(spec.eig_a)) < SINGULAR_A_RTOL * spec.norm_a)
 
 
-def build_linearization(spec: PolynomialSpec) -> Linearization:
-    """K0 = diag(c, -A^{-1}) and K_j with (1,1) entry b_j and e_j off-diagonal blocks."""
-    if a_is_singular(spec):
-        raise SingularAError("A is singular; regularize with an epsilon shift first")
-    l = spec.l
-    K0 = np.zeros((l + 1, l + 1), dtype=complex)
-    K0[0, 0] = spec.c
-    K0[1:, 1:] = -np.linalg.inv(spec.A)
-    K = []
-    for j in range(l):
-        Kj = np.zeros((l + 1, l + 1), dtype=complex)
-        Kj[0, 0] = spec.b[j]
-        Kj[0, j + 1] = 1.0
-        Kj[j + 1, 0] = 1.0
-        K.append(Kj)
-    J = np.zeros((l + 1, l + 1), dtype=complex)
-    J[0, 0] = 1.0
-    return Linearization(K0=K0, K=tuple(K), J=J)
-
-
 def gamma_operator(R: np.ndarray, spec: PolynomialSpec) -> np.ndarray:
-    """Self-energy block map on (l+1)x(l+1) matrices.
+    """Self-energy block map Gamma[R] = sum_j K_j R K_j on (l+1)x(l+1) matrices.
 
     For R = [[omega, v^t], [w, T]] it returns
     [[omega ||b||^2 + b^t (v + w) + tr T, omega b^t + w^t],
@@ -169,10 +140,12 @@ def m_matrix(x: complex, spec: PolynomialSpec, z: complex, delta: float) -> np.n
 def _de_residual(M: np.ndarray, spec: PolynomialSpec, z: complex, delta: float) -> float:
     if a_is_singular(spec):
         return float("nan")
-    lin = build_linearization(spec)
-    eta = z.imag
-    Z = z * lin.J + 1j * eta * delta * (np.eye(spec.l + 1) - lin.J)
-    residual = np.eye(spec.l + 1) + (Z - lin.K0 + gamma_operator(M, spec)) @ M
+    l = spec.l
+    # Z - K0 = diag(z - c, i eta delta I + A^{-1})
+    z_minus_k0 = np.zeros((l + 1, l + 1), dtype=complex)
+    z_minus_k0[0, 0] = z - spec.c
+    z_minus_k0[1:, 1:] = 1j * z.imag * delta * np.eye(l) + np.linalg.inv(spec.A)
+    residual = np.eye(l + 1) + (z_minus_k0 + gamma_operator(M, spec)) @ M
     return float(np.linalg.norm(residual, ord=2))
 
 
@@ -183,14 +156,13 @@ def _m_delta_from(seed: complex, z: complex, delta: float, spec: PolynomialSpec)
     return complex(m)
 
 
-def solve_m_delta(z: complex, delta: float, spec: PolynomialSpec) -> MDESolution:
+def _m_delta(z: complex, delta: float, spec: PolynomialSpec) -> complex:
     """Solve -1/m = z + gamma_delta(m) by continuation from the delta = 0 branch.
 
     The delta = 0 solution (the self-consistent Stieltjes transform) seeds a
     damped Newton iteration; if the direct jump to the requested delta fails,
     the regularization is switched on in eight equal sub-steps.
     """
-    z = complex(z)
     if z.imag <= 0.0:
         raise ValueError(f"Im z must be positive, got z = {z}")
     if not 0.0 <= delta <= 1.0:
@@ -204,14 +176,15 @@ def solve_m_delta(z: complex, delta: float, spec: PolynomialSpec) -> MDESolution
         except NoConvergenceError:
             for step_delta in np.linspace(0.0, delta, 9)[1:]:
                 m = _m_delta_from(m, z, float(step_delta), spec)
+    return m
+
+
+def solve_m_delta(z: complex, delta: float, spec: PolynomialSpec) -> MDESolution:
+    """m_delta, its Dyson-equation matrix M and the residual of the equation at M."""
+    z = complex(z)
+    m = _m_delta(z, delta, spec)
     M = m_matrix(m, spec, z, delta)
-    return MDESolution(
-        z=z,
-        delta=float(delta),
-        m_delta=m,
-        M=M,
-        de_residual=_de_residual(M, spec, z, delta),
-    )
+    return MDESolution(m_delta=m, M=M, de_residual=_de_residual(M, spec, z, delta))
 
 
 def _gamma_matrix(spec: PolynomialSpec) -> np.ndarray:
@@ -246,8 +219,9 @@ def stability_spectrum(z: complex, delta: float, spec: PolynomialSpec,
     if classification.kind == "WignerSquare":
         raise WignerSquareUnsupportedError("stability analysis excludes shifted Wigner squares")
     n = spec.l + 1
-    sol = solve_m_delta(z, delta, spec)
-    op = stability_operator_matrix(sol.M, spec)
+    z = complex(z)
+    M = m_matrix(_m_delta(z, delta, spec), spec, z, delta)
+    op = stability_operator_matrix(M, spec)
 
     eigvals, left, right = eig(op, left=True, right=True)
     order = np.argsort(np.abs(eigvals))
@@ -260,12 +234,10 @@ def stability_spectrum(z: complex, delta: float, spec: PolynomialSpec,
     B = (B_vec / (np.linalg.norm(B_vec) / hs)).reshape(n, n)
     L = (L_vec / (np.linalg.norm(L_vec) / hs)).reshape(n, n)
     overlap = float(np.abs(np.vdot(L_vec, B_vec)) / (np.linalg.norm(L_vec) * np.linalg.norm(B_vec)))
-    cubic_target = sol.M @ gamma_operator(B, spec) @ B
+    cubic_target = M @ gamma_operator(B, spec) @ B
     cubic = float(np.abs(np.vdot(L.reshape(-1), cubic_target.reshape(-1))) / n)
     inv_norm = float(1.0 / np.linalg.svd(op, compute_uv=False)[-1])
     return StabilityReport(
-        z=complex(z),
-        delta=float(delta),
         beta=complex(beta),
         B=B,
         L=L,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class EdgeVectorStat:
 
 @dataclass
 class SimulationResult:
-    """Per-trial eigenvalue statistics with pooled aggregates.
+    """Per-trial eigenvalues (ascending), spectral norms and edge eigenvector stats.
 
     ``edge_vectors[t]`` holds the stats of the eigenpairs of trial t closest
     to ``edge_target`` (at most 8 pairs), and is empty when no target was given.
@@ -79,10 +79,6 @@ class SimulationResult:
     norms: np.ndarray
     edge_target: float | None
     edge_vectors: list[list[EdgeVectorStat]]
-    pooled: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.pooled = np.sort(np.concatenate(self.eigenvalues)) if self.eigenvalues else np.array([])
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:

@@ -15,7 +15,6 @@ import quadspec
 import quadspec.cli as cli_module
 from quadspec import compute_density, compute_edges, quantiles
 from quadspec.cli import EXIT_CRITERIA, EXIT_INFRA, EXIT_INPUT, EXIT_OK, compare_ks, main, spec_digest
-from quadspec.density import MassDeficitError
 from quadspec.edges import InconsistentClassificationError
 from quadspec.model import load_spec
 from quadspec.scalar import NoConvergenceError
@@ -347,6 +346,17 @@ def test_verify_norm_needs_three_sizes(wsq_file, tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("suite", ["density", "deloc", "rigidity"])
+def test_verify_single_n_suites_reject_an_n_list(suite, wsq_file, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the spec was loaded before --N was checked")
+
+    monkeypatch.setattr(cli_module, "load_spec", must_not_run)
+    code = main(["verify", "--suite", suite, "--spec", wsq_file, "--N", "64,128", "--out", str(tmp_path / "n")])
+    assert code == EXIT_INPUT
+    assert "--N" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n_list", ["64,64,64", "1,64,128"])
 def test_verify_rejects_bad_n_list(n_list, wsq_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -438,10 +448,19 @@ def test_compare_ks_duplication_invariance(wigner_square_spec):
     assert compare_ks(sample, curve) == pytest.approx(compare_ks(doubled, curve), abs=1e-12)
 
 
-def test_compare_ks_mass_deficit(wigner_square_spec):
-    curve = compute_density(wigner_square_spec, compute_edges(wigner_square_spec), 512)
-    with pytest.raises(MassDeficitError):
-        compare_ks(np.array([1.0]), replace(curve, mass=0.5))
+def test_verify_density_mass_deficit_fails_the_criterion(anti_file, tmp_path, monkeypatch):
+    # a curve whose mass misses 1 is a failed density criterion with a written report,
+    # not an infrastructure error
+    compute = cli_module.compute_density
+    monkeypatch.setattr(cli_module, "compute_density", lambda *args: replace(compute(*args), mass=0.5))
+    prefix = str(tmp_path / "m")
+    code = main(
+        ["verify", "--suite", "density", "--spec", anti_file, "--N", "128", "--trials", "2",
+         "--seed", "1", "--out", prefix]
+    )
+    assert code == EXIT_CRITERIA
+    report = json.loads(Path(prefix + "_report.json").read_text())
+    assert report["pass_flags"]["mass"] is False
 
 
 def test_run_store_accumulates(anti_file, tmp_path):
@@ -510,12 +529,14 @@ def test_verify_rejects_bad_eta_before_compute(value, wsq_file, tmp_path, monkey
     assert "--eta" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_verify_rejects_threads_below_one(value, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "option, value", [("--threads", "0"), ("--threads", "-2"), ("--trials", "0")], ids=["0", "-2", "trials-0"]
+)
+def test_verify_rejects_threads_below_one(option, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--suite", "lemmas", "--threads", value, "--out", str(tmp_path / "t")])
+        main(["verify", "--suite", "lemmas", option, value, "--out", str(tmp_path / "t")])
     assert excinfo.value.code == EXIT_INPUT
-    assert "--threads" in capsys.readouterr().err
+    assert option in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", [["density"], ["deloc", "--dist", "rademacher"]], ids=["density", "deloc"])

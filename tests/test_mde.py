@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import eig
 
 from quadspec import (
-    build_linearization,
     classify_polynomial,
     compute_edges,
     gamma_operator,
@@ -13,7 +13,6 @@ from quadspec import (
     validate_spec,
 )
 from quadspec.mde import (
-    SingularAError,
     WignerSquareUnsupportedError,
     _a_delta,
     _gamma_delta_and_prime,
@@ -62,32 +61,44 @@ def _oracle_m_delta(z, delta, spec):
         return m
 
 
-def test_linearization_squared_wigner(wigner_square_spec):
-    lin = build_linearization(wigner_square_spec)
-    assert np.allclose(lin.K0, [[0, 0], [0, -1]])
-    assert np.allclose(lin.K[0], [[0, 1], [1, 0]])
-    assert np.allclose(lin.J, [[1, 0], [0, 0]])
+def _pencil(spec):
+    """The linearization's K_j = b_j E_00 + E_0j + E_j0, built entry by entry."""
+    n = spec.l + 1
+    K = []
+    for j in range(spec.l):
+        Kj = np.zeros((n, n), dtype=complex)
+        Kj[0, 0] = spec.b[j]
+        Kj[0, j + 1] = Kj[j + 1, 0] = 1.0
+        K.append(Kj)
+    return K
 
 
-def test_linearization_anticommutator(anticommutator_spec):
-    lin = build_linearization(anticommutator_spec)
-    # A = [[0,1],[1,0]] is its own inverse
-    assert np.allclose(lin.K0[1:, 1:], [[0, -1], [-1, 0]])
-    assert np.allclose(lin.K0[0, :], 0.0)
-    for j, Kj in enumerate(lin.K):
-        assert np.allclose(Kj, Kj.conj().T)
-        assert Kj[0, j + 1] == 1.0 and Kj[j + 1, 0] == 1.0
+@pytest.mark.parametrize("a_kind", ["real", "complex"])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_gamma_operator_is_the_pencil_sum(l, a_kind):
+    # Gamma[R] = sum_j K_j R K_j ties the closed form to the paper's pencil
+    rng = np.random.default_rng(10 * l + (a_kind == "complex"))
+    g = rng.standard_normal((l, l)) + (1j * rng.standard_normal((l, l)) if a_kind == "complex" else 0.0)
+    spec = validate_spec(l, 0.5 * (g + g.conj().T), rng.standard_normal(l), float(rng.standard_normal()))
+    assert np.all(spec.b != 0.0)
+    n = l + 1
+    for _ in range(5):
+        R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        expected = sum(Kj @ R @ Kj for Kj in _pencil(spec))
+        assert np.linalg.norm(gamma_operator(R, spec) - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_linearization_singular_a():
+    # K0 = diag(c, -A^{-1}) does not exist for singular A, so neither does the Dyson residual;
+    # the epsilon-regularized spec has one, and it vanishes
     spec = validate_spec(2, [[1, 0], [0, 0]], [0, 0], 0.0)
     assert a_is_singular(spec)
-    with pytest.raises(SingularAError):
-        build_linearization(spec)
     reg = validate_spec(2, spec.A + 1e-7 * spec.norm_a * np.eye(2), spec.b, spec.c)
     assert not a_is_singular(reg)
     assert np.min(np.abs(reg.eig_a)) >= 1e-8
-    build_linearization(reg)  # must not raise
+    for z, delta in ((0.3 + 0.5j, 0.0), (-0.2 + 1e-3j, 0.5), (3.0 + 1.0j, 1.0)):
+        assert np.isnan(solve_m_delta(z, delta, spec).de_residual)
+        assert solve_m_delta(z, delta, reg).de_residual <= 1e-9
 
 
 def test_gamma_operator_examples(wigner_square_spec):
@@ -165,16 +176,24 @@ def test_m_delta_matches_oracle(wigner_square_spec, anticommutator_spec, complex
             assert abs(solve_m_delta(z, delta, spec).m_delta - expected) <= 1e-14 * abs(expected)
 
 
-def test_diverging_delta_jump_falls_back_quietly():
-    # the direct Newton jump to delta diverges here (residual 4e17) and the eight-step ramp
-    # recovers; the jump must not warn on the way (singular A, a real l = 2 spec with b)
-    spec = validate_spec(
+# (spec, z, delta) where the direct Newton jump to delta diverges (residual 4e17) and the
+# eight-step ramp recovers (singular A, a real l = 2 spec with b)
+_DIVERGING_JUMP = (
+    validate_spec(
         2,
         [[-0.9660455935499719, 0.6541061227473745], [0.6541061227473745, -0.4428929883561144]],
         [4.625388170941528, -3.131834297362932],
         -7.4578613509926335,
-    )
-    sol = solve_m_delta(-1.9042255965611545 + 0.01239788308721512j, 0.863173076188803, spec)
+    ),
+    -1.9042255965611545 + 0.01239788308721512j,
+    0.863173076188803,
+)
+
+
+def test_diverging_delta_jump_falls_back_quietly():
+    # the jump must not warn on its way to the ramp
+    spec, z, delta = _DIVERGING_JUMP
+    sol = solve_m_delta(z, delta, spec)
     assert sol.m_delta == -0.653493657512861 + 0.3327924076103988j
 
 
@@ -194,6 +213,19 @@ def test_regularization_error_linear_off_support(wigner_square_spec):
 def test_stability_rejects_wigner_square(wigner_square_spec):
     with pytest.raises(WignerSquareUnsupportedError):
         stability_spectrum(4.0 + 1e-3j, 0.0, wigner_square_spec)
+
+
+@pytest.mark.parametrize("case", ["delta-0", "delta-0.5", "diverging-jump"])
+def test_stability_beta_is_smallest_eigenvalue_at_solved_m(case, anticommutator_spec):
+    # stability_spectrum solves for M itself; it must be the M of solve_m_delta, bit for bit
+    spec, z, delta = {
+        "delta-0": (anticommutator_spec, 0.7 + 0.05j, 0.0),
+        "delta-0.5": (anticommutator_spec, 0.7 + 0.05j, 0.5),
+        "diverging-jump": _DIVERGING_JUMP,
+    }[case]
+    op = stability_operator_matrix(solve_m_delta(z, delta, spec).M, spec)
+    eigvals = eig(op, left=True, right=True)[0]
+    assert stability_spectrum(z, delta, spec).beta == eigvals[np.argmin(np.abs(eigvals))]
 
 
 @pytest.fixture(scope="module")

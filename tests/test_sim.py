@@ -142,7 +142,7 @@ def test_simulate_run_symmetric_law(anticommutator_spec):
 def test_simulate_run_rademacher(anticommutator_spec):
     cfg = EnsembleConfig(N=256, dist=RADEMACHER, seed=3, trials=2)
     result = simulate_run(anticommutator_spec, cfg)
-    assert len(result.pooled) == 512
+    assert sum(len(eigs) for eigs in result.eigenvalues) == 512
 
 
 def test_complex_direction_edges_match_sampled_spectrum(complex_half_spec, complex_threshold_spec):
