@@ -1,10 +1,11 @@
 """Command-line surface: classify / analyze / verify with JSON reports.
 
 Exit-code contract: 0 success (all criteria pass), 2 input or validation
-error, 3 infrastructure error (solver failure, unusable spec for a suite),
-4 verification suite ran but a criterion failed.  Reports contain no
-timestamps, so identical commands with identical seeds produce byte-identical
-files; the append-only JSON-lines run store carries the timestamped records.
+error (a ``ValueError``), 3 infrastructure error (an ``InfrastructureError``:
+solver failure, failed trial, unusable spec for a suite), 4 verification suite
+ran but a criterion failed.  Reports contain no timestamps, so identical
+commands with identical seeds produce byte-identical files; the append-only
+JSON-lines run store carries the timestamped records.
 """
 
 from __future__ import annotations
@@ -18,32 +19,22 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .density import (
-    MASS_TOLERANCE,
-    DensityCurve,
-    InsufficientPointsError,
-    MassDeficitError,
-    compute_density,
-    fit_edge_exponent,
-    quantiles,
-    write_density_csv,
-)
-from .edges import InconsistentClassificationError, compute_edges
+from .density import MASS_TOLERANCE, DensityCurve, compute_density, fit_edge_exponent, quantiles, write_density_csv
+from .edges import compute_edges
 from .lemmas import entrywise_real_part_violations, quad_stability_violations
 from .mde import BETA_KAPPAS, SingularAError, WignerSquareUnsupportedError, a_is_singular, beta_slopes, solve_m_delta
-from .model import SpecError, classify_polynomial, load_spec, spec_hash_payload
-from .scalar import NoConvergenceError, solve_m
+from .model import InfrastructureError, SpecError, classify_polynomial, load_spec, spec_hash_payload
+from .scalar import solve_m
 from .sim import (
     DISTRIBUTIONS,
     GAUSSIAN_COMPLEX,
-    AsymmetryBlowupError,
     EnsembleConfig,
-    SimulationError,
     SimulationResult,
     resolvent_trace,
     simulate_run,
@@ -144,13 +135,6 @@ def run_suite_lemmas(seed: int) -> ComparisonReport:
     return report
 
 
-def run_suite_density(spec, n, trials, seed, dist, n_grid, threads) -> ComparisonReport:
-    _, _, curve = _analysis(spec, n_grid)
-    cfg = EnsembleConfig(N=n, dist=dist, seed=seed, trials=trials)
-    result = simulate_run(spec, cfg, threads=threads)
-    return judge_density(spec, curve, result, n_grid)
-
-
 def _run_report(suite: str, spec, result: SimulationResult, **config) -> ComparisonReport:
     """Report of a suite judged on one run; N, trials, dist and seed come from the run."""
     cfg = result.config
@@ -158,21 +142,23 @@ def _run_report(suite: str, spec, result: SimulationResult, **config) -> Compari
     return ComparisonReport(suite=suite, spec_hash=spec_digest(spec), seed=cfg.seed, config=config)
 
 
+def _judge_mass(report: ComparisonReport, curve: DensityCurve) -> None:
+    """The mass criterion of every suite judged on a density curve: |mass - 1| <= MASS_TOLERANCE."""
+    report.values["mass"] = curve.mass
+    report.thresholds["mass_deviation"] = MASS_TOLERANCE
+    report.pass_flags["mass"] = abs(curve.mass - 1.0) <= MASS_TOLERANCE
+
+
 def judge_density(spec, curve: DensityCurve, result: SimulationResult, n_grid: int) -> ComparisonReport:
-    """KS distance of the pooled spectrum to the curve, and the curve's mass."""
+    """KS distance of the pooled spectrum to the curve, the curve's mass and its edge exponents."""
     report = _run_report("density", spec, result, n_grid=n_grid)
     ks = report.ks_distance = compare_ks(np.concatenate(result.eigenvalues), curve)
-    try:
-        report.edge_exponent_left = fit_edge_exponent(curve, "left")
-        report.edge_exponent_right = fit_edge_exponent(curve, "right")
-    except InsufficientPointsError:
-        pass
-    report.values = {"mass": curve.mass, "tau_star": curve.edge_meta.tau_star}
-    report.thresholds = {"ks_distance": KS_THRESHOLD, "mass_deviation": MASS_TOLERANCE}
-    report.pass_flags = {
-        "ks_distance": ks <= KS_THRESHOLD,
-        "mass": abs(curve.mass - 1.0) <= MASS_TOLERANCE,
-    }
+    report.edge_exponent_left = fit_edge_exponent(curve, "left")
+    report.edge_exponent_right = fit_edge_exponent(curve, "right")
+    report.values = {"tau_star": curve.edge_meta.tau_star}
+    report.thresholds = {"ks_distance": KS_THRESHOLD}
+    report.pass_flags = {"ks_distance": ks <= KS_THRESHOLD}
+    _judge_mass(report, curve)
     return report
 
 
@@ -199,13 +185,6 @@ def run_suite_norm(spec, n_list, trials, seed, dist, threads) -> ComparisonRepor
     report.thresholds = {"norm_scaling_slope": list(NORM_SLOPE_RANGE)}
     report.pass_flags = {"norm_scaling_slope": NORM_SLOPE_RANGE[0] <= slope <= NORM_SLOPE_RANGE[1]}
     return report
-
-
-def run_suite_deloc(spec, n, trials, seed, dist, eta, threads) -> ComparisonReport:
-    edges = compute_edges(spec)
-    cfg = EnsembleConfig(N=n, dist=dist, seed=seed, trials=trials)
-    result = simulate_run(spec, cfg, edge_target=edges.tau_plus, threads=threads)
-    return judge_deloc(spec, result, eta)
 
 
 def judge_deloc(spec, result: SimulationResult, eta: float | None = None) -> ComparisonReport:
@@ -243,15 +222,8 @@ def judge_deloc(spec, result: SimulationResult, eta: float | None = None) -> Com
     return report
 
 
-def run_suite_rigidity(spec, n, trials, seed, dist, n_grid, threads) -> ComparisonReport:
-    _, _, curve = _analysis(spec, n_grid)
-    cfg = EnsembleConfig(N=n, dist=dist, seed=seed, trials=trials)
-    result = simulate_run(spec, cfg, threads=threads)
-    return judge_rigidity(spec, curve, result, n_grid)
-
-
 def judge_rigidity(spec, curve: DensityCurve, result: SimulationResult, n_grid: int) -> ComparisonReport:
-    """Top three eigenvalues of each trial within 10 N^(-2/3 + 0.1) of their classical locations."""
+    """Top three eigenvalues of each trial within 10 N^(-2/3 + 0.1) of their classical locations; the curve's mass."""
     n, trials = result.config.N, result.config.trials
     gamma = quantiles(curve, n)
     bound = 10.0 * n ** (-2.0 / 3.0 + 0.1)
@@ -267,6 +239,7 @@ def judge_rigidity(spec, curve: DensityCurve, result: SimulationResult, n_grid: 
     report.values = {"passes": passes, "trials": trials, "bound": bound, "worst_deviation": worst}
     report.thresholds = {"passes_needed": needed}
     report.pass_flags = {"rigidity": passes >= needed}
+    _judge_mass(report, curve)
     return report
 
 
@@ -351,13 +324,13 @@ def _check_out_prefix(prefix: str) -> None:
         raise ValueError(f"output directory {directory!r} does not exist")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
 
 
@@ -391,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--spec", help="polynomial JSON (not needed for the lemmas suite)")
     p_verify.add_argument("--out", default="quadspec", help="output prefix")
     p_verify.add_argument("--N", type=_parse_n_list, default=[1024], help="comma-separated dimensions")
-    p_verify.add_argument("--trials", type=_positive_int, default=20)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--threads", type=_positive_int, default=1, help="cap on concurrent trials")
+    p_verify.add_argument("--trials", type=partial(_int_at_least, 1), default=20)
+    p_verify.add_argument("--seed", type=partial(_int_at_least, 0), default=0)
+    p_verify.add_argument("--threads", type=partial(_int_at_least, 1), default=1, help="cap on concurrent trials")
     p_verify.add_argument("--eta", type=_positive_float, default=None)
     p_verify.add_argument("--dist", choices=DISTRIBUTIONS, default=GAUSSIAN_COMPLEX)
     p_verify.add_argument("--n-grid", type=int, default=512)
@@ -414,10 +387,7 @@ def cmd_analyze(args) -> int:
     classification, edges, curve = _analysis(spec, args.n_grid)
     edges_payload = asdict(edges) | {"mass": curve.mass, "classification": classification.to_json_dict()}
     for side in ("left", "right"):
-        try:
-            edges_payload[f"fitted_exponent_{side}"] = fit_edge_exponent(curve, side)
-        except InsufficientPointsError:
-            edges_payload[f"fitted_exponent_{side}"] = None
+        edges_payload[f"fitted_exponent_{side}"] = fit_edge_exponent(curve, side)
     edges_path = f"{args.out}_edges.json"
     csv_path = f"{args.out}_density.csv"
     plot_path = f"{args.out}_plot.gp"
@@ -461,19 +431,22 @@ def cmd_verify(args) -> int:
             raise SpecError(f"the {suite} suite requires --spec")
         spec = load_spec(args.spec)
 
-    n_first = args.N[0]
     if suite == "lemmas":
         report = run_suite_lemmas(args.seed)
-    elif suite == "density":
-        report = run_suite_density(spec, n_first, args.trials, args.seed, args.dist, args.n_grid, args.threads)
     elif suite == "norm":
         report = run_suite_norm(spec, args.N, args.trials, args.seed, args.dist, args.threads)
-    elif suite == "deloc":
-        report = run_suite_deloc(spec, n_first, args.trials, args.seed, args.dist, args.eta, args.threads)
-    elif suite == "rigidity":
-        report = run_suite_rigidity(spec, n_first, args.trials, args.seed, args.dist, args.n_grid, args.threads)
-    else:
+    elif suite == "stability":
         report = run_suite_stability(spec, args.seed)
+    else:
+        cfg = EnsembleConfig(N=args.N[0], dist=args.dist, seed=args.seed, trials=args.trials)
+        if suite == "deloc":
+            result = simulate_run(spec, cfg, edge_target=compute_edges(spec).tau_plus, threads=args.threads)
+            report = judge_deloc(spec, result, args.eta)
+        else:
+            _, _, curve = _analysis(spec, args.n_grid)
+            result = simulate_run(spec, cfg, threads=args.threads)
+            judge = judge_density if suite == "density" else judge_rigidity
+            report = judge(spec, curve, result, args.n_grid)
 
     report_path = f"{args.out}_report.json"
     with open(report_path, "w") as fh:
@@ -503,15 +476,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args)
         return cmd_verify(args)
-    except (
-        NoConvergenceError,
-        SingularAError,
-        WignerSquareUnsupportedError,
-        MassDeficitError,
-        SimulationError,
-        AsymmetryBlowupError,
-        InconsistentClassificationError,
-    ) as exc:
+    except InfrastructureError as exc:
         sys.stderr.write(f"infrastructure error: {exc}\n")
         return EXIT_INFRA
     except (SpecError, json.JSONDecodeError, ValueError) as exc:

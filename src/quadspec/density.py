@@ -40,14 +40,6 @@ MIN_FIT_POINTS = 20
 MASS_TOLERANCE = 1e-3
 
 
-class MassDeficitError(ValueError):
-    """Curve mass deviates from 1 beyond tolerance."""
-
-
-class InsufficientPointsError(ValueError):
-    """Not enough refined grid points inside the exponent fit window."""
-
-
 @dataclass(frozen=True)
 class DensityCurve:
     """Sampled density with cumulative integral and edge metadata.
@@ -129,15 +121,8 @@ def compute_density(spec: PolynomialSpec, edges: EdgeReport, n_grid: int = 512) 
     return DensityCurve(energies=energies, rho=rho, mass=float(cdf[-1]), edge_meta=edges, cdf=cdf)
 
 
-def check_mass(curve: DensityCurve) -> None:
-    """Raise MassDeficitError when the curve mass misses 1 by more than MASS_TOLERANCE."""
-    if abs(curve.mass - 1.0) > MASS_TOLERANCE:
-        raise MassDeficitError(f"curve mass {curve.mass} deviates from 1 beyond {MASS_TOLERANCE}")
-
-
 def quantiles(curve: DensityCurve, n: int) -> np.ndarray:
-    """Classical eigenvalue locations gamma_k with integral (k - 1/2)/n, k = 1..n."""
-    check_mass(curve)
+    """Classical eigenvalue locations gamma_k with integral (k - 1/2)/n of the curve's mass, k = 1..n."""
     targets = (np.arange(1, n + 1) - 0.5) / n * curve.mass
     cdf, energies = curve.cdf, curve.energies
     idx = np.searchsorted(cdf, targets, side="left")
@@ -148,11 +133,12 @@ def quantiles(curve: DensityCurve, n: int) -> np.ndarray:
     return e0 + frac * (e1 - e0)
 
 
-def fit_edge_exponent(curve: DensityCurve, which: str) -> float:
+def fit_edge_exponent(curve: DensityCurve, which: str) -> float | None:
     """Least-squares slope of log rho vs log|E - tau| over |E - tau| in [1e-5, 1e-2].
 
     Only grid points on the support side of the chosen edge enter the fit;
-    fewer than 20 usable points raise InsufficientPointsError.
+    with fewer than MIN_FIT_POINTS usable points there is no fit and the
+    result is None.
     """
     if which == "left":
         edge, side = curve.edge_meta.tau_minus, +1
@@ -163,9 +149,7 @@ def fit_edge_exponent(curve: DensityCurve, which: str) -> float:
     kappa = side * (curve.energies - edge)
     mask = (kappa >= FIT_WINDOW[0]) & (kappa <= FIT_WINDOW[1]) & (curve.rho > 0.0)
     if int(np.sum(mask)) < MIN_FIT_POINTS:
-        raise InsufficientPointsError(
-            f"{int(np.sum(mask))} points in the fit window at the {which} edge, need {MIN_FIT_POINTS}"
-        )
+        return None
     slope, _ = np.polyfit(np.log(kappa[mask]), np.log(curve.rho[mask]), 1)
     return float(slope)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import PolynomialSpec, SpectralClassification, classify_polynomial, real_direction
+from .model import InfrastructureError, PolynomialSpec, SpectralClassification, classify_polynomial, real_direction
 from .scalar import gamma_value, h_prime, h_value, poles
 
 SCAN_POINTS = 400
@@ -37,7 +37,7 @@ class RealDirectionError(ValueError):
     """The direction vector is real up to a phase, so s is undefined."""
 
 
-class InconsistentClassificationError(RuntimeError):
+class InconsistentClassificationError(InfrastructureError):
     """Analytic root-existence verdict and numeric scan disagree."""
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 SLOT_COUNT = 6
 STRICTNESS_MARGIN = 1e-12
+SPECTRAL_RTOL = 1e-10  # relative slack of the entrywise-real-part comparisons
 
 
 def _split_budget(rng: np.random.Generator, count: int, slots: int) -> np.ndarray:
@@ -98,7 +99,7 @@ def _random_hermitian(rng: np.random.Generator, n: int, kind: str) -> np.ndarray
     return h
 
 
-def entrywise_real_part_violations(count: int, seed: int = 0, tol: float = 1e-10) -> int:
+def entrywise_real_part_violations(count: int, seed: int = 0) -> int:
     """Check the spectral comparisons between H and (H + H^t)/2 on random matrices."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(202,)))
     kinds = ("complex", "real", "psd", "rank-one-real", "rank-one-complex")
@@ -111,11 +112,11 @@ def entrywise_real_part_violations(count: int, seed: int = 0, tol: float = 1e-10
         eig = np.linalg.eigvalsh(H)
         eig_hat = np.linalg.eigvalsh(H_hat)
         scale = max(np.max(np.abs(eig)), 1e-300)
-        ok = eig[-1] >= eig_hat[-1] - tol * scale
-        ok &= eig[0] <= eig_hat[0] + tol * scale
-        ok &= np.max(np.abs(eig)) >= np.max(np.abs(eig_hat)) - tol * scale
+        ok = eig[-1] >= eig_hat[-1] - SPECTRAL_RTOL * scale
+        ok &= eig[0] <= eig_hat[0] + SPECTRAL_RTOL * scale
+        ok &= np.max(np.abs(eig)) >= np.max(np.abs(eig_hat)) - SPECTRAL_RTOL * scale
         if kind == "psd":
-            ok &= eig_hat[0] >= -tol * scale
+            ok &= eig_hat[0] >= -SPECTRAL_RTOL * scale
         if kind.startswith("rank-one") and n > 1:
             svals = np.linalg.svd(H_hat, compute_uv=False)
             rank = int(np.sum(svals > 1e-10 * svals[0])) if svals[0] > 0 else 0

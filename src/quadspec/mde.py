@@ -25,20 +25,21 @@ import numpy as np
 from scipy.linalg import eig
 
 from .edges import EdgeReport
-from .model import PolynomialSpec, SpectralClassification, classify_polynomial
+from .model import InfrastructureError, PolynomialSpec, SpectralClassification, classify_polynomial
 from .scalar import NoConvergenceError, damped_newton, solve_m
 
 SINGULAR_A_RTOL = 1e-10
 BETA_KAPPAS = (1e-2, 1e-4, 1e-6)
 
 
-class SingularAError(ValueError):
+class SingularAError(InfrastructureError):
     """A is not invertible, so K0 and the Dyson-equation residual do not exist;
-    use an epsilon-perturbed spec."""
+    a valid spec (not a ValueError) for which an epsilon-perturbed spec can be used."""
 
 
-class WignerSquareUnsupportedError(ValueError):
-    """The stability operator has an extra unstable direction for shifted Wigner squares."""
+class WignerSquareUnsupportedError(InfrastructureError):
+    """A shifted Wigner square, a valid spec (not a ValueError): its stability operator has an extra
+    unstable direction."""
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,10 @@ class SpecError(ValueError):
     """Invalid polynomial coefficients."""
 
 
+class InfrastructureError(RuntimeError):
+    """A valid input that the solver or the simulation could not handle."""
+
+
 class ZeroAError(SpecError):
     """The quadratic coefficient matrix vanishes."""
 

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EIG_ZERO_RTOL, PolynomialSpec, SpecError
+from .model import EIG_ZERO_RTOL, InfrastructureError, PolynomialSpec, SpecError
 
 RESIDUAL_RTOL = 1e-11
 CONTINUATION_RATIO = 0.7
 MAX_NEWTON_ITERATIONS = 200
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(InfrastructureError):
     """The damped Newton continuation failed to reach the residual target."""
 
     def __init__(self, z: complex, residual: float):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolynomialSpec
+from .model import InfrastructureError, PolynomialSpec
 
 GAUSSIAN_COMPLEX = "gaussian-complex"
 GAUSSIAN_REAL = "gaussian-real"
@@ -27,11 +27,11 @@ EDGE_NEIGHBORS = 8
 TILE = 128  # transposes go tile by tile so both sides stay in cache
 
 
-class AsymmetryBlowupError(RuntimeError):
+class AsymmetryBlowupError(InfrastructureError):
     """An input matrix is not Hermitian within the roundoff budget."""
 
 
-class SimulationError(RuntimeError):
+class SimulationError(InfrastructureError):
     """One or more trials failed; carries (trial index, error) pairs."""
 
     def __init__(self, failures: list[tuple[int, Exception]]):

@@ -16,7 +16,8 @@ import quadspec.cli as cli_module
 from quadspec import compute_density, compute_edges, quantiles
 from quadspec.cli import EXIT_CRITERIA, EXIT_INFRA, EXIT_INPUT, EXIT_OK, compare_ks, main, spec_digest
 from quadspec.edges import InconsistentClassificationError
-from quadspec.model import load_spec
+from quadspec.mde import SingularAError, WignerSquareUnsupportedError
+from quadspec.model import InfrastructureError, load_spec
 from quadspec.scalar import NoConvergenceError
 from quadspec.sim import AsymmetryBlowupError, SimulationError, trial_workers
 
@@ -448,19 +449,39 @@ def test_compare_ks_duplication_invariance(wigner_square_spec):
     assert compare_ks(sample, curve) == pytest.approx(compare_ks(doubled, curve), abs=1e-12)
 
 
-def test_verify_density_mass_deficit_fails_the_criterion(anti_file, tmp_path, monkeypatch):
-    # a curve whose mass misses 1 is a failed density criterion with a written report,
+@pytest.mark.parametrize("suite", ["density", "rigidity"])
+def test_verify_density_mass_deficit_fails_the_criterion(suite, anti_file, tmp_path, monkeypatch):
+    # a curve whose mass misses 1 is a failed mass criterion with a written report,
     # not an infrastructure error
     compute = cli_module.compute_density
     monkeypatch.setattr(cli_module, "compute_density", lambda *args: replace(compute(*args), mass=0.5))
     prefix = str(tmp_path / "m")
     code = main(
-        ["verify", "--suite", "density", "--spec", anti_file, "--N", "128", "--trials", "2",
+        ["verify", "--suite", suite, "--spec", anti_file, "--N", "128", "--trials", "2",
          "--seed", "1", "--out", prefix]
     )
     assert code == EXIT_CRITERIA
     report = json.loads(Path(prefix + "_report.json").read_text())
     assert report["pass_flags"]["mass"] is False
+    assert report["values"]["mass"] == 0.5
+    assert report["thresholds"]["mass_deviation"] == 1e-3
+
+
+def test_verify_density_fits_each_edge_on_its_own(tmp_path):
+    # -(X - 2)^2: the regular left edge has too few points in the fit window, and
+    # that must not cost the singular right edge its exponent
+    spec = json.dumps({"l": 1, "A": [[-1]], "b": [4], "c": -4})
+    main(["analyze", "--spec", spec, "--out", str(tmp_path / "a"), "--n-grid", "512"])
+    edges = json.loads((tmp_path / "a_edges.json").read_text())
+    code = main(
+        ["verify", "--suite", "density", "--spec", spec, "--N", "128", "--trials", "2", "--seed", "1",
+         "--out", str(tmp_path / "d")]
+    )
+    assert code in (EXIT_OK, EXIT_CRITERIA)
+    report = json.loads((tmp_path / "d_report.json").read_text())
+    assert edges["fitted_exponent_left"] is None and report["edge_exponent_left"] is None
+    assert report["edge_exponent_right"] == edges["fitted_exponent_right"]
+    assert report["edge_exponent_right"] == pytest.approx(-0.25, abs=0.05)
 
 
 def test_run_store_accumulates(anti_file, tmp_path):
@@ -490,20 +511,29 @@ def test_spec_hash_in_report_stable_under_reordering(tmp_path):
     assert spec_digest(load_spec(a)) == spec_digest(load_spec(b))
 
 
+INFRASTRUCTURE_ERRORS = {
+    "simulation": SimulationError([(1, RuntimeError("boom"))]),
+    "asymmetry": AsymmetryBlowupError("non-Hermitian input"),
+    "classification": InconsistentClassificationError("scan disagrees"),
+    "no-convergence": NoConvergenceError(1.0 + 1e-9j, 1.0),
+    "singular-a": SingularAError("A is singular"),
+    "wigner-square": WignerSquareUnsupportedError("shifted Wigner square"),
+}
+
+
 @pytest.mark.parametrize(
     "attr, error",
     [
         ("simulate_run", "simulation"),
         ("simulate_run", "asymmetry"),
         ("compute_edges", "classification"),
+        ("compute_edges", "no-convergence"),
+        ("simulate_run", "singular-a"),
+        ("simulate_run", "wigner-square"),
     ],
 )
 def test_verify_simulation_errors_are_infra(attr, error, wsq_file, tmp_path, monkeypatch, capsys):
-    exc = {
-        "simulation": SimulationError([(1, RuntimeError("boom"))]),
-        "asymmetry": AsymmetryBlowupError("non-Hermitian input"),
-        "classification": InconsistentClassificationError("scan disagrees"),
-    }[error]
+    exc = INFRASTRUCTURE_ERRORS[error]
 
     def broken(*args, **kwargs):
         raise exc
@@ -515,6 +545,27 @@ def test_verify_simulation_errors_are_infra(attr, error, wsq_file, tmp_path, mon
     )
     assert code == EXIT_INFRA
     assert capsys.readouterr().err.startswith("infrastructure error:")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_infrastructure_error_exits_3(monkeypatch, tmp_path, capsys):
+    # the exit-code policy is the class hierarchy: an InfrastructureError is never an input error
+    assert set(_subclasses(InfrastructureError)) == {type(exc) for exc in INFRASTRUCTURE_ERRORS.values()}
+    assert len(INFRASTRUCTURE_ERRORS) == 6
+    for exc in INFRASTRUCTURE_ERRORS.values():
+        assert not isinstance(exc, ValueError), exc
+
+        def broken(seed, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "run_suite_lemmas", broken)
+        assert main(["verify", "--suite", "lemmas", "--out", str(tmp_path / "i")]) == EXIT_INFRA
+        assert capsys.readouterr().err.startswith("infrastructure error:")
 
 
 @pytest.mark.parametrize("value", ["-0.1", "0", "nan", "inf", "x"])
@@ -530,7 +581,9 @@ def test_verify_rejects_bad_eta_before_compute(value, wsq_file, tmp_path, monkey
 
 
 @pytest.mark.parametrize(
-    "option, value", [("--threads", "0"), ("--threads", "-2"), ("--trials", "0")], ids=["0", "-2", "trials-0"]
+    "option, value",
+    [("--threads", "0"), ("--threads", "-2"), ("--trials", "0"), ("--seed", "-1")],
+    ids=["0", "-2", "trials-0", "seed-negative"],
 )
 def test_verify_rejects_threads_below_one(option, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:

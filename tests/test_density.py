@@ -14,7 +14,7 @@ from quadspec import (
     validate_spec,
     write_density_csv,
 )
-from quadspec.density import MASS_TOLERANCE, InsufficientPointsError, MassDeficitError
+from quadspec.density import MASS_TOLERANCE
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from corpus import build_corpus  # noqa: E402
@@ -129,13 +129,6 @@ def test_quantiles_symmetry(anti_curve):
     assert np.max(np.abs(gamma + gamma[::-1])) <= 1e-4
 
 
-def test_quantiles_mass_deficit(squared_curve):
-    from dataclasses import replace
-
-    with pytest.raises(MassDeficitError):
-        quantiles(replace(squared_curve, mass=5.0), 10)
-
-
 def test_fit_exponents_squared_wigner(squared_curve):
     assert fit_edge_exponent(squared_curve, "right") == pytest.approx(0.5, abs=0.05)
     assert fit_edge_exponent(squared_curve, "left") == pytest.approx(-0.5, abs=0.05)
@@ -145,9 +138,8 @@ def test_fit_exponent_threshold_quarter(threshold_square_spec):
     curve = compute_density(threshold_square_spec, compute_edges(threshold_square_spec), 512)
     assert fit_edge_exponent(curve, "left") == pytest.approx(-0.25, abs=0.05)
     # the regular right edge of this wide-support curve has too few refined
-    # points inside the fit window
-    with pytest.raises(InsufficientPointsError):
-        fit_edge_exponent(curve, "right")
+    # points inside the fit window, so it has no fit
+    assert fit_edge_exponent(curve, "right") is None
 
 
 def test_regular_edge_imaginary_part_scaling(wigner_square_spec, anticommutator_spec):
