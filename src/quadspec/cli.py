@@ -54,6 +54,7 @@ NORM_SLOPE_RANGE = (-0.85, -0.50)
 STABILITY_SLOPE_RANGE = (0.45, 0.55)
 DE_RESIDUAL_THRESHOLD = 1e-9
 TRIAL_PASS_FRACTION = 0.9
+RIGIDITY_TOP = 3  # the rigidity suite judges this many top eigenvalues of each trial
 QUAD_STAB_SAMPLES = 100_000
 HAT_A_SAMPLES = 1_000
 
@@ -223,14 +224,14 @@ def judge_deloc(spec, result: SimulationResult, eta: float | None = None) -> Com
 
 
 def judge_rigidity(spec, curve: DensityCurve, result: SimulationResult, n_grid: int) -> ComparisonReport:
-    """Top three eigenvalues of each trial within 10 N^(-2/3 + 0.1) of their classical locations; the curve's mass."""
+    """Top RIGIDITY_TOP eigenvalues of each trial within 10 N^(-2/3 + 0.1) of their classical locations; the curve's mass."""
     n, trials = result.config.N, result.config.trials
     gamma = quantiles(curve, n)
     bound = 10.0 * n ** (-2.0 / 3.0 + 0.1)
     passes = 0
     worst = 0.0
     for eigs in result.eigenvalues:
-        deviations = [abs(eigs[n - 1 - k] - gamma[n - 1 - k]) for k in range(3)]
+        deviations = [abs(eigs[n - 1 - k] - gamma[n - 1 - k]) for k in range(RIGIDITY_TOP)]
         worst = max(worst, *deviations)
         if max(deviations) <= bound:
             passes += 1
@@ -425,6 +426,8 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite in ("density", "deloc", "rigidity") and len(args.N) > 1:
         raise ValueError(f"the {suite} suite takes a single --N, got {args.N}")
+    if suite == "rigidity" and args.N[0] < RIGIDITY_TOP:
+        raise ValueError(f"the rigidity suite judges the top {RIGIDITY_TOP} eigenvalues: --N must be at least that")
     spec = None
     if suite != "lemmas":
         if not args.spec:

@@ -56,34 +56,45 @@ class PoleSet:
     m_star_minus: float
 
 
-def _eigen_axis(m, spec: PolynomialSpec):
-    """m as a complex array and mu, mu_hat, w2 as columns along a leading eigen-axis.
+def _columns(spec: PolynomialSpec, ndim: int):
+    """mu, mu^2, mu_hat and w2 as columns along a leading eigen-axis for an m of ``ndim`` dimensions."""
+    column = (-1,) + (1,) * ndim
+    mu = spec.mu.reshape(column)
+    return mu, mu**2, spec.mu_hat.reshape(column), spec.w2.reshape(column)
 
-    The kernels add the terms with the builtin ``sum``, from 0 and left to
-    right over the eigen-axis, so a point gets the same bits alone as in any
-    batch: ``.sum(axis=0)`` would add four or more terms pairwise for one
-    point and one by one for many.
+
+def _self_energy(m, columns, c, gamma: bool = True):
+    """(gamma(m), gamma'(m)) from the eigen-axis ``columns`` of ``_columns``; gamma is None if not ``gamma``.
+
+    The denominators d = 1 + m mu and e = 1 + 2 m mu_hat are formed once for
+    both, and t = m mu_hat once for e and 1 + t.  The terms are added with the
+    builtin ``sum``, from 0 and left to right over the eigen-axis, so a point
+    gets the same bits alone as in any batch: ``.sum(axis=0)`` would add four
+    or more terms pairwise for one point and one by one for many.
     """
-    m = np.asarray(m, dtype=complex)
-    column = (-1,) + (1,) * m.ndim
-    return m, spec.mu.reshape(column), spec.mu_hat.reshape(column), spec.w2.reshape(column)
+    mu, mu2, mu_hat, w2 = columns
+    d = 1.0 + m * mu
+    value = -sum(mu / d) if gamma else None
+    gamma_p = sum(mu2 / d**2)
+    if len(w2):
+        t = m * mu_hat
+        e = 1.0 + 2.0 * t
+        if gamma:
+            value = value + m * sum(w2 * (1.0 + t) / e**2)
+        gamma_p = gamma_p + sum(w2 / e**3)  # e**3, not e**2 * e: the two round apart
+    return (value - c if gamma else None), gamma_p
 
 
 def gamma_terms(m, spec: PolynomialSpec):
     """(gamma(m), gamma'(m)) for scalar or array m (no pole checks).
 
-    gamma'(m) = sum mu^2/(1+m mu)^2 + sum |<w,b>|^2/(1+2m mu_hat)^3; the
-    denominators 1 + m mu and 1 + 2 m mu_hat are formed once for both.
+    gamma'(m) = sum mu^2/(1+m mu)^2 + sum |<w,b>|^2/(1+2m mu_hat)^3.  The
+    map of ``gamma_and_prime`` runs the same kernel.  Both depend on m alone,
+    not on z, so ``continuation`` hands them from one level to the next
+    instead of evaluating them again at an unchanged m.
     """
-    m, mu, mu_hat, w2 = _eigen_axis(m, spec)
-    d = 1.0 + m * mu
-    gamma = -sum(mu / d)
-    gamma_p = sum(mu**2 / d**2)
-    if len(w2):
-        e = 1.0 + 2.0 * m * mu_hat
-        gamma = gamma + m * sum(w2 * (1.0 + m * mu_hat) / e**2)
-        gamma_p = gamma_p + sum(w2 / e**3)
-    return gamma - spec.c, gamma_p
+    m = np.asarray(m, dtype=complex)
+    return _self_energy(m, _columns(spec, m.ndim), spec.c)
 
 
 def gamma_value(m, spec: PolynomialSpec):
@@ -92,14 +103,15 @@ def gamma_value(m, spec: PolynomialSpec):
 
 
 def h_value(m, spec: PolynomialSpec):
-    """h(m) = 1/m^2 - gamma'(m)."""
+    """h(m) = 1/m^2 - gamma'(m); the kernel skips gamma itself."""
     m = np.asarray(m, dtype=complex)
-    return 1.0 / m**2 - gamma_terms(m, spec)[1]
+    return 1.0 / m**2 - _self_energy(m, _columns(spec, m.ndim), spec.c, gamma=False)[1]
 
 
 def h_prime(m, spec: PolynomialSpec):
     """h'(m), used to polish edge roots and certify their first order."""
-    m, mu, mu_hat, w2 = _eigen_axis(m, spec)
+    m = np.asarray(m, dtype=complex)
+    mu, _, mu_hat, w2 = _columns(spec, m.ndim)
     out = -2.0 / m**3 + 2.0 * sum(mu**3 / (1.0 + m * mu) ** 3)
     if len(w2):
         out = out + 6.0 * sum(w2 * mu_hat / (1.0 + 2.0 * m * mu_hat) ** 4)
@@ -128,8 +140,21 @@ def poles(spec: PolynomialSpec) -> PoleSet:
 
 
 def gamma_and_prime(spec: PolynomialSpec):
-    """The map m -> (gamma(m), gamma'(m)) that damped_newton takes for ``spec``."""
-    return lambda m: gamma_terms(m, spec)
+    """The map m -> (gamma(m), gamma'(m)) that damped_newton takes for ``spec``.
+
+    It takes m as a complex ndarray, the way damped_newton passes it, and
+    runs the kernel of ``gamma_terms`` on eigen-axis columns that it lays out
+    once per number of dimensions of m and keeps for its later calls.
+    """
+    layouts = {}
+
+    def terms(m):
+        columns = layouts.get(m.ndim)
+        if columns is None:
+            columns = layouts[m.ndim] = _columns(spec, m.ndim)
+        return _self_energy(m, columns, spec.c)
+
+    return terms
 
 
 def damped_newton(z, m, gamma_and_prime, polish: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
@@ -137,27 +162,45 @@ def damped_newton(z, m, gamma_and_prime, polish: int = 0) -> tuple[np.ndarray, n
 
     ``z`` and the start ``m`` have one shape, which the results keep; the
     caller's ``m`` is not written to.  ``gamma_and_prime(m)`` returns
-    (gamma(m), gamma'(m)) for an array m, so f'(m) = gamma'(m) - 1/m^2 and f
-    is evaluated once per iteration.  Each iteration steps only the points
-    whose residual still misses the target.  A step that would leave the
-    upper half-plane is halved until it does not; after 60 halvings it is
-    rejected and m stays put.  Raises NoConvergenceError when any component
-    misses the residual target after the iteration budget.  ``polish`` extra
-    keep-best iterations of every point push the residual toward the
-    numerical floor, which sharpens m near the edges where f' degenerates.
-    Returns (m, |f(m)|, iterations).
+    (gamma(m), gamma'(m)) for a complex array m, so f'(m) = gamma'(m) - 1/m^2;
+    it runs once at the start and once per iteration on the points that step.
+    ``continuation`` runs this same loop but skips the start's evaluation: it
+    passes on the gamma and f' that the level above left at that m.  Each
+    iteration steps only the points whose residual still misses the target.
+    A step that would leave the upper half-plane is halved until it does not;
+    after 60 halvings it is rejected and m stays put.  Raises
+    NoConvergenceError when any component misses the residual target after
+    the iteration budget.  ``polish`` extra keep-best iterations of every point
+    push the residual toward the numerical floor, which sharpens m near the
+    edges where f' degenerates.  Returns (m, |f(m)|, iterations).
+    """
+    m, residual, iterations, _ = _newton(z, m, gamma_and_prime, polish)
+    return m, residual, iterations
+
+
+def _newton(z, m, gamma_and_prime, polish: int = 0, terms=None):
+    """The loop of ``damped_newton``, which can start from known terms and hands its own on.
+
+    gamma(m) and f'(m) do not depend on z, so ``terms`` = (gamma(m), f'(m))
+    at the start m, from an earlier call at another z, replace the first
+    evaluation: f = 1/m + z + gamma is then all that is left to form.  Returns
+    (m, |f(m)|, iterations, terms at the returned m); the terms are None after
+    a polish, whose keep-best m need not be the last iterate.
     """
     z = np.asarray(z, dtype=complex)
     m = np.array(m, dtype=complex)
     tol = RESIDUAL_RTOL * (1.0 + np.abs(z))
 
+    def residual(z, m, gamma, fp):
+        f = 1.0 / m + z + gamma
+        return f, fp, np.abs(f), gamma
+
     def evaluate(z, m):
         gamma, gamma_p = gamma_and_prime(m)
-        f = 1.0 / m + z + gamma
-        return f, gamma_p - 1.0 / m**2, np.abs(f)
+        return residual(z, m, gamma, gamma_p - 1.0 / m**2)
 
     def damped_step(z, m, f, fp):
-        step = f / np.where(fp == 0.0, 1e-300, fp)
+        step = f / (fp if fp.all() else np.where(fp == 0.0, 1e-300, fp))
         candidate = m - step
         good = (candidate.imag > 0.0) & np.isfinite(candidate)
         if not good.all():
@@ -173,7 +216,7 @@ def damped_newton(z, m, gamma_and_prime, polish: int = 0) -> tuple[np.ndarray, n
         m = np.asarray(candidate)
         return (m,) + evaluate(z, m)
 
-    f, fp, res = evaluate(z, m)
+    f, fp, res, gamma = evaluate(z, m) if terms is None else residual(z, m, *terms)
     iterations = 0
     for _ in range(MAX_NEWTON_ITERATIONS):
         active = res > tol
@@ -181,21 +224,23 @@ def damped_newton(z, m, gamma_and_prime, polish: int = 0) -> tuple[np.ndarray, n
             break
         iterations += 1
         if active.all():  # a 0-d point takes this branch and stays 0-d
-            m, f, fp, res = damped_step(z, m, f, fp)
+            m, f, fp, res, gamma = damped_step(z, m, f, fp)
         else:
             i = active.nonzero()
-            m[i], f[i], fp[i], res[i] = damped_step(z[i], m[i], f[i], fp[i])
+            m[i], f[i], fp[i], res[i], gamma[i] = damped_step(z[i], m[i], f[i], fp[i])
     if (res > tol).any():
         worst = int(np.argmax(res / (1.0 + np.abs(z))))
         raise NoConvergenceError(complex(z.flat[worst]), float(res.flat[worst]))
+    if not polish:
+        return m, res, iterations, (gamma, fp)
     best_m, best_res = m, res
     for _ in range(polish):
-        m, f, fp, res = damped_step(z, m, f, fp)
+        m, f, fp, res, gamma = damped_step(z, m, f, fp)
         better = res < best_res
         best_m = np.where(better, m, best_m)
         best_res = np.where(better, res, best_res)
         iterations += 1
-    return best_m, best_res, iterations
+    return best_m, best_res, iterations, None
 
 
 def continuation(z, spec: PolynomialSpec):
@@ -204,8 +249,11 @@ def continuation(z, spec: PolynomialSpec):
     Continuation starts high above the real axis at eta = H with
     H = 10 (1 + ||A|| + ||b|| + |c|)^2, seeded with m = -1/z there, and the
     imaginary part is lowered geometrically (ratio 0.7) to its target while
-    damped Newton tracks the branch; the last level is polished.  Yields
-    (eta, m, residual, newton iterations) at each level, from H down.
+    damped Newton tracks the branch; the last level is polished.  Each level
+    starts from the m of the level above together with its gamma(m) and
+    f'(m), which do not depend on z, so a level evaluates gamma only at the
+    points it steps.  Yields (eta, m, residual, newton iterations) at each
+    level, from H down.
     """
     z = np.asarray(z, dtype=complex)
     energy, eta_target = z.real, z.imag
@@ -217,9 +265,10 @@ def continuation(z, spec: PolynomialSpec):
         raise SpecError(f"coefficients out of range: the continuation start 10 (1 + ||A|| + ||b|| + |c|)^2 = {top}")
     eta = np.maximum(np.full(z.shape, top), eta_target)
     m = -1.0 / (energy + 1j * eta)
+    terms = None
     while True:
         final = bool((eta == eta_target).all())
-        m, residual, iters = damped_newton(energy + 1j * eta, m, gamma_p, polish=3 if final else 0)
+        m, residual, iters, terms = _newton(energy + 1j * eta, m, gamma_p, 3 if final else 0, terms)
         yield eta, m, residual, iters
         if final:
             return

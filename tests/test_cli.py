@@ -358,6 +358,17 @@ def test_verify_single_n_suites_reject_an_n_list(suite, wsq_file, tmp_path, monk
     assert "--N" in capsys.readouterr().err
 
 
+def test_verify_rigidity_needs_three_eigenvalues(wsq_file, tmp_path, capsys):
+    # at N = 2 the third eigenvalue from the top would be the top one again
+    prefix = str(tmp_path / "r")
+    argv = ["verify", "--suite", "rigidity", "--spec", wsq_file, "--trials", "2", "--seed", "1", "--out", prefix]
+    assert main(argv + ["--N", "2"]) == EXIT_INPUT
+    assert "--N" in capsys.readouterr().err
+    assert not Path(prefix + "_report.json").exists()
+    assert main(argv + ["--N", "3"]) in (EXIT_OK, EXIT_CRITERIA)
+    assert json.loads(Path(prefix + "_report.json").read_text())["config"]["N"] == 3
+
+
 @pytest.mark.parametrize("n_list", ["64,64,64", "1,64,128"])
 def test_verify_rejects_bad_n_list(n_list, wsq_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:

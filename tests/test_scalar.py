@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from quadspec import poles, scalar, solve_m, validate_spec
+from quadspec.density import ETA_COARSE
 from quadspec.mde import _a_delta, _gamma_delta_and_prime
 from quadspec.scalar import (
     CONTINUATION_RATIO,
     MAX_NEWTON_ITERATIONS,
     RESIDUAL_RTOL,
     NoConvergenceError,
+    continuation,
     damped_newton,
     gamma_and_prime,
     gamma_terms,
@@ -336,6 +338,27 @@ def test_kernel_matches_oracle_bitwise(
             assert _same_bits(h_prime(m, spec), _oracle_h_prime(m, spec))
 
 
+def test_kernel_layouts_follow_the_shape_of_m(
+    wigner_square_spec, anticommutator_spec, complex_half_spec, complex_threshold_spec,
+):
+    # one spec object and one map, called with m of changing dimension: a
+    # column layout kept for one shape must not serve another
+    rng = np.random.default_rng(59)
+    for spec in _kernel_specs(rng, [wigner_square_spec, anticommutator_spec, complex_half_spec,
+                                    complex_threshold_spec], l_max=3):
+        gp = gamma_and_prime(spec)
+        m, one, point, _, grid = _kernel_points(rng, spec)
+        for x in (point, m, one, np.array(m[7]), grid, m[8:], np.array(m[9]), m):
+            gamma, gamma_p = gp(x)
+            assert _same_bits(gamma, _oracle_gamma_value(x, spec))
+            assert _same_bits(gamma_p, _oracle_gamma_prime(x, spec))
+            gamma, gamma_p = gamma_terms(x, spec)
+            assert _same_bits(gamma, _oracle_gamma_value(x, spec))
+            assert _same_bits(gamma_p, _oracle_gamma_prime(x, spec))
+            assert _same_bits(h_value(x, spec), _oracle_h_value(x, spec))
+            assert _same_bits(h_prime(x, spec), _oracle_h_prime(x, spec))
+
+
 def test_kernel_point_ignores_its_batch():
     # every point of a batch gets the bits it gets alone, also with five terms
     # on the eigen-axis, so a point's Newton path does not depend on which
@@ -488,3 +511,73 @@ def test_damped_newton_no_convergence_matches_oracle(anticommutator_spec, monkey
         with pytest.raises(NoConvergenceError):
             _oracle_damped_newton(zz, ss, gp)
         assert not _assert_newton_matches_oracle(zz, ss, gp, 0)
+
+
+# continuation as it was before a level started from the gamma and f' of the
+# level above: every level evaluates gamma afresh at its start m
+def _oracle_continuation(z, spec):
+    z = np.asarray(z, dtype=complex)
+    energy, eta_target = z.real, z.imag
+    gp = lambda x: gamma_terms(x, spec)  # noqa: E731
+    top = 10.0 * np.float64(spec.coefficient_scale) ** 2
+    eta = np.maximum(np.full(z.shape, top), eta_target)
+    m = -1.0 / (energy + 1j * eta)
+    while True:
+        final = bool((eta == eta_target).all())
+        m, residual, iters = damped_newton(energy + 1j * eta, m, gp, polish=3 if final else 0)
+        yield eta, m, residual, iters
+        if final:
+            return
+        eta = np.maximum(eta_target, CONTINUATION_RATIO * eta)
+
+
+def _levels(walk):
+    """The yielded levels of a continuation, and the (z, residual) of a NoConvergenceError that ends it."""
+    levels = []
+    try:
+        for level in walk:
+            levels.append(level)
+    except NoConvergenceError as exc:
+        return levels, (exc.z, exc.residual)
+    return levels, None
+
+
+def _assert_continuation_matches_oracle(z, spec):
+    levels, failure = _levels(continuation(z, spec))
+    expected, expected_failure = _levels(_oracle_continuation(z, spec))
+    assert failure == expected_failure and len(levels) == len(expected)
+    for (eta, m, residual, iters), (eta0, m0, residual0, iters0) in zip(levels, expected):
+        assert _same_bits(eta, eta0) and _same_bits(m, m0) and _same_bits(residual, residual0)
+        assert iters == iters0
+    return len(levels)
+
+
+def test_continuation_matches_oracle_bitwise(
+    wigner_square_spec, anticommutator_spec, shifted_square_spec, threshold_square_spec,
+    complex_half_spec, complex_threshold_spec,
+):
+    # each level starts from the gamma and f' the level above left behind and
+    # yields the same eta, m, residual and iterations as a fresh evaluation
+    rng = np.random.default_rng(63)
+    fixtures = [wigner_square_spec, anticommutator_spec, shifted_square_spec, threshold_square_spec,
+                complex_half_spec, complex_threshold_spec]
+    for spec in _kernel_specs(rng, fixtures, l_max=3):
+        scale = spec.coefficient_scale
+        energies = rng.uniform(-2 * scale, 2 * scale, 48)
+        top = 10.0 * scale**2
+        # targets from 1e-7 up to and above the start H: the first three points
+        # stop early, at level 1 or 2, while the others walk on
+        targets = 10 ** rng.uniform(-7, 0, 48)
+        targets[:3] = (0.5 * top, top, 2.0 * top)
+        grid = energies + 1j * targets
+        for z in (grid, grid[3:4], np.array(grid[5]), energies + 1j * ETA_COARSE):
+            assert _assert_continuation_matches_oracle(z, spec) > 10
+
+
+def test_continuation_density_grid_matches_oracle_bitwise(anticommutator_spec, complex_threshold_spec):
+    # the energy grid of a density curve at the walk's ETA_COARSE, edge refinements included
+    from quadspec import compute_density, compute_edges
+
+    for spec in (anticommutator_spec, complex_threshold_spec):
+        energies = compute_density(spec, compute_edges(spec), 512).energies
+        assert _assert_continuation_matches_oracle(energies + 1j * ETA_COARSE, spec) > 10
