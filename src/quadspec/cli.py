@@ -53,6 +53,7 @@ KS_THRESHOLD = 0.05
 NORM_SLOPE_RANGE = (-0.85, -0.50)
 STABILITY_SLOPE_RANGE = (0.45, 0.55)
 DE_RESIDUAL_THRESHOLD = 1e-9
+DE_RESIDUAL_POINTS = 100  # random (z, delta) points of the stability suite's residual check
 TRIAL_PASS_FRACTION = 0.9
 RIGIDITY_TOP = 3  # the rigidity suite judges this many top eigenvalues of each trial
 QUAD_STAB_SAMPLES = 100_000
@@ -253,7 +254,7 @@ def run_suite_stability(spec, seed) -> ComparisonReport:
     edges = compute_edges(spec, classification)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(77,)))
     max_residual = 0.0
-    for _ in range(100):
+    for _ in range(DE_RESIDUAL_POINTS):
         z = complex(
             rng.uniform(edges.tau_minus - 1.0, edges.tau_plus + 1.0),
             10.0 ** rng.uniform(-3.0, 0.5),
@@ -266,7 +267,7 @@ def run_suite_stability(spec, seed) -> ComparisonReport:
         suite="stability",
         spec_hash=spec_digest(spec),
         seed=seed,
-        config={"residual_points": 100, "kappas": list(BETA_KAPPAS)},
+        config={"residual_points": DE_RESIDUAL_POINTS, "kappas": list(BETA_KAPPAS)},
     )
     report.values = {"max_de_residual": max_residual, "beta_slopes": slopes}
     report.thresholds = {

@@ -12,9 +12,9 @@ scalar equation -1/m = z + gamma_delta(m).  Gamma[R] = sum_j K_j R K_j is
 applied in closed form by ``gamma_operator``, and the matrix K_0 is formed only
 inside the equation's residual.  The stability operator
 L[R] = R - M Gamma[R] M is materialized densely on the (l+1)^2-dimensional
-matrix space; its smallest eigenvalue beta vanishes like sqrt(kappa + eta) at
-a regular edge, with right eigenvector proportional to dM/dm and left
-eigenvector proportional to Gamma[B] there.
+matrix space by ``stability_operator_matrix``; its smallest eigenvalue beta,
+which ``stability_spectrum`` returns, vanishes like sqrt(kappa + eta) at a
+regular edge.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig
+from scipy.linalg import eigvals
 
 from .edges import EdgeReport
 from .model import InfrastructureError, PolynomialSpec, SpectralClassification, classify_polynomial
@@ -57,22 +57,9 @@ class MDESolution:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Smallest-modulus eigenvalue of the stability operator with its eigenvectors.
-
-    ``overlap`` = |<L, B>| / (||L|| ||B||), ``cubic`` = |<L, M Gamma[B] B>| for
-    Hilbert-Schmidt-normalized eigenvectors, ``inv_norm`` the norm of the
-    inverse operator, ``beta_gap`` the next-smallest eigenvalue modulus and
-    ``isolated`` whether the gap clears 2 |beta| + 0.01.
-    """
+    """Smallest-modulus eigenvalue beta of the stability operator."""
 
     beta: complex
-    B: np.ndarray
-    L: np.ndarray
-    overlap: float
-    cubic: float
-    inv_norm: float
-    beta_gap: float
-    isolated: bool
 
 
 def a_is_singular(spec: PolynomialSpec) -> bool:
@@ -209,45 +196,20 @@ def stability_operator_matrix(M: np.ndarray, spec: PolynomialSpec) -> np.ndarray
 
 def stability_spectrum(z: complex, delta: float, spec: PolynomialSpec,
                        classification: SpectralClassification | None = None) -> StabilityReport:
-    """Smallest eigenvalue of the stability operator with eigenvectors and norms.
+    """Smallest-modulus eigenvalue of the stability operator at the solved M.
 
     Shifted squares of a Wigner matrix are rejected: their stability operator
-    has an additional unstable direction and the isolated-eigenvalue picture
-    breaks down.
+    has an additional unstable direction, so beta is not its only small
+    eigenvalue.
     """
     if classification is None:
         classification = classify_polynomial(spec)
     if classification.kind == "WignerSquare":
         raise WignerSquareUnsupportedError("stability analysis excludes shifted Wigner squares")
-    n = spec.l + 1
     z = complex(z)
     M = m_matrix(_m_delta(z, delta, spec), spec, z, delta)
-    op = stability_operator_matrix(M, spec)
-
-    eigvals, left, right = eig(op, left=True, right=True)
-    order = np.argsort(np.abs(eigvals))
-    beta = eigvals[order[0]]
-    beta_gap = float(np.abs(eigvals[order[1]])) if len(order) > 1 else float("inf")
-    B_vec = right[:, order[0]]
-    L_vec = left[:, order[0]]
-
-    hs = np.sqrt(n)
-    B = (B_vec / (np.linalg.norm(B_vec) / hs)).reshape(n, n)
-    L = (L_vec / (np.linalg.norm(L_vec) / hs)).reshape(n, n)
-    overlap = float(np.abs(np.vdot(L_vec, B_vec)) / (np.linalg.norm(L_vec) * np.linalg.norm(B_vec)))
-    cubic_target = M @ gamma_operator(B, spec) @ B
-    cubic = float(np.abs(np.vdot(L.reshape(-1), cubic_target.reshape(-1))) / n)
-    inv_norm = float(1.0 / np.linalg.svd(op, compute_uv=False)[-1])
-    return StabilityReport(
-        beta=complex(beta),
-        B=B,
-        L=L,
-        overlap=overlap,
-        cubic=cubic,
-        inv_norm=inv_norm,
-        beta_gap=beta_gap,
-        isolated=bool(beta_gap >= 2.0 * np.abs(beta) + 0.01),
-    )
+    values = eigvals(stability_operator_matrix(M, spec))
+    return StabilityReport(beta=complex(values[np.argsort(np.abs(values))[0]]))
 
 
 def beta_slopes(spec: PolynomialSpec, edges: EdgeReport, classification: SpectralClassification) -> dict[str, float]:

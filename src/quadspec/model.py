@@ -143,7 +143,7 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
     computed here, together with the squared projections of b onto the A_hat
     eigenbasis, which select the A_hat eigenvalues that b reaches.
     """
-    if not isinstance(l, (int, np.integer)) or l < 1:
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l < 1:
         raise DimensionMismatchError(f"l must be a positive integer, got {l!r}")
     A = np.asarray(A, dtype=complex)
     b_arr = np.asarray(b)
@@ -194,15 +194,23 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
     )
 
 
-def _parse_entry(entry) -> complex:
+def _parse_number(value, entry) -> float:
+    """A JSON number of ``entry``: int or float, never bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DimensionMismatchError(f"coefficient entry {entry!r} is neither a number nor {{re, im}} of numbers")
     try:
-        if isinstance(entry, dict):
-            return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-        if isinstance(entry, (int, float)):
-            return complex(entry)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond double range
-        raise DimensionMismatchError(f"coefficient entry {entry!r} is non-numeric or out of range") from exc
-    raise DimensionMismatchError(f"coefficient entry {entry!r} is neither a number nor {{re, im}}")
+        return float(value)
+    except OverflowError as exc:  # an integer beyond double range
+        raise DimensionMismatchError(f"coefficient entry {entry!r} is out of range") from exc
+
+
+def _parse_entry(entry) -> complex:
+    """A JSON number or an object with only the keys re and im, a missing one being 0."""
+    if isinstance(entry, dict):
+        if not entry.keys() <= {"re", "im"}:
+            raise DimensionMismatchError(f"coefficient entry {entry!r} has keys other than re and im")
+        return complex(_parse_number(entry.get("re", 0.0), entry), _parse_number(entry.get("im", 0.0), entry))
+    return complex(_parse_number(entry, entry))
 
 
 def load_spec(source) -> PolynomialSpec:
@@ -211,9 +219,9 @@ def load_spec(source) -> PolynomialSpec:
     A string whose first non-blank character is ``{`` is JSON; any other
     string or Path names a file, and a file that cannot be read raises
     SpecError.  Expected layout: ``{"l": 2, "A": [[{"re": 0, "im": 0}, ...],
-    ...], "b": [0, 0], "c": 0}`` with complex entries as ``{re, im}`` objects;
-    ``b`` and ``c`` take plain numbers or ``{re, im}`` objects with a zero
-    imaginary part.
+    ...], "b": [0, 0], "c": 0}``.  Every coefficient is a JSON number (not a
+    bool or a string) or a ``{re, im}`` object of numbers, a missing part being
+    0; ``b`` and ``c`` must have a zero imaginary part.
     """
     if isinstance(source, str) and source.lstrip().startswith("{"):
         data = json.loads(source)

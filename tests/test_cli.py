@@ -126,8 +126,12 @@ def test_classify_invalid_spec(tmp_path, capsys):
         ([{"re": 0, "im": 0}], None),
         ([{"re": 0, "im": 1}], "b must be real"),
         ([{"re": [0], "im": 0}], "coefficient entry"),
+        ([True], "coefficient entry"),
+        ([{"re": "1"}], "coefficient entry"),
+        ([{"re": " 2 "}], "coefficient entry"),
+        ([{"real": 1}], "coefficient entry"),
     ],
-    ids=["plain", "re-im", "complex", "non-numeric"],
+    ids=["plain", "re-im", "complex", "non-numeric", "bool", "string-re", "padded-string-re", "unknown-key"],
 )
 def test_classify_b_entries(b, error, capsys):
     _assert_classifies(json.dumps({"l": 1, "A": [[{"re": 1, "im": 0}]], "b": b, "c": 0}), error, capsys)
@@ -140,8 +144,9 @@ def test_classify_b_entries(b, error, capsys):
         ({"re": 0, "im": 0}, None),
         ({"re": 0, "im": 1}, "c must be real"),
         ({"re": [0], "im": 0}, "coefficient entry"),
+        (False, "coefficient entry"),
     ],
-    ids=["plain", "re-im", "complex", "non-numeric"],
+    ids=["plain", "re-im", "complex", "non-numeric", "bool"],
 )
 def test_classify_c_entries(c, error, capsys):
     _assert_classifies(json.dumps({"l": 1, "A": [[{"re": 1, "im": 0}]], "b": [0], "c": c}), error, capsys)
@@ -155,12 +160,16 @@ def test_classify_c_entries(c, error, capsys):
         '{"l":1,"A":[[1e-100]],"b":[1e100],"c":0}',
         '{"l":2,"A":[[0,1e200],[0,0]],"b":[0,0],"c":0}',
         '{"l":2,"A":[[0,1e308],[1e308,0]],"b":[0,0],"c":0}',
+        '{"l":true,"A":[[true]],"b":[false],"c":false}',
+        '{"l":true,"A":[[1]],"b":[0],"c":0}',
+        '{"l":2,"A":[[{"real":1},{"re":1}],[{"re":1},{"re":0}]],"b":[0,0],"c":0}',
     ],
-    ids=["large-b", "small-alpha", "huge-non-hermitian-A", "overflowing-A"],
+    ids=["large-b", "small-alpha", "huge-non-hermitian-A", "overflowing-A", "bool-spec", "bool-l", "unknown-key-A"],
 )
 def test_classification_overflow_is_input_error(command, spec, tmp_path, capsys):
     # ||b||^2 / |alpha| overflows a double, so beta = alpha xi^2 - c does too;
-    # so do ||A|| and ||A - A*|| of the huge A, and A + A* of the overflowing one
+    # so do ||A|| and ||A - A*|| of the huge A, and A + A* of the overflowing one.
+    # Booleans and unknown entry keys are not numbers, so those specs are input errors too.
     out = ["--out", str(tmp_path / "o")] if command == "analyze" else []
     assert main([command, "--spec", spec, *out]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("input error:")

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.linalg import eig
@@ -13,6 +15,7 @@ from quadspec import (
     validate_spec,
 )
 from quadspec.mde import (
+    BETA_KAPPAS,
     WignerSquareUnsupportedError,
     _a_delta,
     _gamma_delta_and_prime,
@@ -215,41 +218,95 @@ def test_stability_rejects_wigner_square(wigner_square_spec):
         stability_spectrum(4.0 + 1e-3j, 0.0, wigner_square_spec)
 
 
-@pytest.mark.parametrize("case", ["delta-0", "delta-0.5", "diverging-jump"])
-def test_stability_beta_is_smallest_eigenvalue_at_solved_m(case, anticommutator_spec):
-    # stability_spectrum solves for M itself; it must be the M of solve_m_delta, bit for bit
-    spec, z, delta = {
-        "delta-0": (anticommutator_spec, 0.7 + 0.05j, 0.0),
-        "delta-0.5": (anticommutator_spec, 0.7 + 0.05j, 0.5),
-        "diverging-jump": _DIVERGING_JUMP,
-    }[case]
-    op = stability_operator_matrix(solve_m_delta(z, delta, spec).M, spec)
-    eigvals = eig(op, left=True, right=True)[0]
-    assert stability_spectrum(z, delta, spec).beta == eigvals[np.argmin(np.abs(eigvals))]
-
-
 @pytest.fixture(scope="module")
 def anti_edges(anticommutator_spec):
     return compute_edges(anticommutator_spec)
 
 
-def test_stability_small_eigenvalue_at_edge(anticommutator_spec, anti_edges):
-    st = stability_spectrum(anti_edges.tau_plus + 1e-10j, 0.0, anticommutator_spec)
-    assert abs(st.beta) <= 1e-4
-    assert st.isolated
-    assert st.overlap >= 0.05
-    # eigenvector relation L[B] = beta B for the materialized operator
-    op = stability_operator_matrix(
-        solve_m_delta(anti_edges.tau_plus + 1e-10j, 0.0, anticommutator_spec).M, anticommutator_spec
+# a complex l = 3 spec with b and c
+_COMPLEX_L3 = validate_spec(
+    3,
+    [[1.0, 0.3 + 0.4j, -0.2j], [0.3 - 0.4j, -0.5, 0.6], [0.2j, 0.6, 0.8]],
+    [0.5, -1.0, 0.3],
+    0.2,
+)
+_SLOPE_CASES = [f"slope-{side}-{kappa:g}" for side in ("right", "left") for kappa in BETA_KAPPAS]
+
+
+@pytest.mark.parametrize(
+    "case", ["delta-0", "delta-0.5", "diverging-jump", *_SLOPE_CASES, "complex-l3-delta-0", "complex-l3-delta-0.5"]
+)
+def test_stability_beta_is_smallest_eigenvalue_at_solved_m(case, anticommutator_spec, anti_edges):
+    # stability_spectrum solves for M itself; it must be the M of solve_m_delta, bit for bit,
+    # and its eigenvalue-only call must pick the beta of the full left-and-right eig
+    cases = {
+        "delta-0": (anticommutator_spec, 0.7 + 0.05j, 0.0),
+        "delta-0.5": (anticommutator_spec, 0.7 + 0.05j, 0.5),
+        "diverging-jump": _DIVERGING_JUMP,
+        "complex-l3-delta-0": (_COMPLEX_L3, 0.4 + 0.05j, 0.0),
+        "complex-l3-delta-0.5": (_COMPLEX_L3, 0.4 + 0.05j, 0.5),
+    }
+    # the beta_slopes points edge +- kappa + 1e-10 i outside the support
+    for kappa in BETA_KAPPAS:
+        cases[f"slope-right-{kappa:g}"] = (anticommutator_spec, anti_edges.tau_plus + kappa + 1e-10j, 0.0)
+        cases[f"slope-left-{kappa:g}"] = (anticommutator_spec, anti_edges.tau_minus - kappa + 1e-10j, 0.0)
+    spec, z, delta = cases[case]
+    op = stability_operator_matrix(solve_m_delta(z, delta, spec).M, spec)
+    eigvals = eig(op, left=True, right=True)[0]
+    assert stability_spectrum(z, delta, spec).beta == eigvals[np.argmin(np.abs(eigvals))]
+
+
+@dataclass(frozen=True)
+class _CriticalPair:
+    """beta of the stability operator with its right and left eigenvectors B and L, each
+    scaled to Hilbert-Schmidt norm sqrt(l + 1), and the next-smallest eigenvalue modulus."""
+
+    op: np.ndarray
+    M: np.ndarray
+    beta: complex
+    gap: float
+    B: np.ndarray
+    L: np.ndarray
+
+    @property
+    def overlap(self) -> float:
+        return float(abs(np.vdot(self.L, self.B)) / (np.linalg.norm(self.L) * np.linalg.norm(self.B)))
+
+
+def _critical_pair(z, delta, spec) -> _CriticalPair:
+    """Full left-and-right eig of the operator that stability_spectrum builds at the solved M."""
+    n = spec.l + 1
+    M = solve_m_delta(z, delta, spec).M
+    op = stability_operator_matrix(M, spec)
+    values, left, right = eig(op, left=True, right=True)
+    order = np.argsort(np.abs(values))
+    assert values[order[0]] == stability_spectrum(z, delta, spec).beta
+    hs = np.sqrt(n)
+    B_vec, L_vec = right[:, order[0]], left[:, order[0]]
+    return _CriticalPair(
+        op=op,
+        M=M,
+        beta=complex(values[order[0]]),
+        gap=float(abs(values[order[1]])),
+        B=(B_vec / (np.linalg.norm(B_vec) / hs)).reshape(n, n),
+        L=(L_vec / (np.linalg.norm(L_vec) / hs)).reshape(n, n),
     )
-    b_vec = st.B.reshape(-1)
-    assert np.linalg.norm(op @ b_vec - st.beta * b_vec) <= 1e-9 * np.linalg.norm(b_vec)
+
+
+def test_stability_small_eigenvalue_at_edge(anticommutator_spec, anti_edges):
+    pair = _critical_pair(anti_edges.tau_plus + 1e-10j, 0.0, anticommutator_spec)
+    assert abs(pair.beta) <= 1e-4
+    assert pair.gap >= 2.0 * abs(pair.beta) + 0.01  # beta is isolated
+    assert pair.overlap >= 0.05
+    # eigenvector relation L[B] = beta B for the materialized operator
+    b_vec = pair.B.reshape(-1)
+    assert np.linalg.norm(pair.op @ b_vec - pair.beta * b_vec) <= 1e-9 * np.linalg.norm(b_vec)
 
 
 def test_stability_critical_directions(anticommutator_spec, anti_edges):
     # at the edge the right eigenvector aligns with dM/dm and the left with Gamma[B]
     z = anti_edges.tau_plus + 1e-10j
-    st = stability_spectrum(z, 0.0, anticommutator_spec)
+    pair = _critical_pair(z, 0.0, anticommutator_spec)
     sol = solve_m_delta(z, 0.0, anticommutator_spec)
     dx = 1e-7
     Mp = (m_matrix(sol.m_delta + dx, anticommutator_spec, z, 0.0)
@@ -261,8 +318,8 @@ def test_stability_critical_directions(anticommutator_spec, anti_edges):
         phase = np.vdot(y, x)
         return np.linalg.norm(x - y * phase / abs(phase))
 
-    assert aligned_distance(st.B, Mp) <= 1e-4
-    assert aligned_distance(st.L, gamma_operator(st.B, anticommutator_spec)) <= 1e-4
+    assert aligned_distance(pair.B, Mp) <= 1e-4
+    assert aligned_distance(pair.L, gamma_operator(pair.B, anticommutator_spec)) <= 1e-4
 
 
 def test_stability_square_root_scaling(anticommutator_spec, anti_edges):
@@ -273,17 +330,22 @@ def test_stability_square_root_scaling(anticommutator_spec, anti_edges):
 
 
 def test_stability_bounded_away_from_support(anticommutator_spec, anti_edges):
-    st = stability_spectrum(anti_edges.tau_plus + 1.0 + 1e-3j, 0.0, anticommutator_spec)
-    assert st.inv_norm <= 20.0
-    assert st.overlap >= 0.05
+    pair = _critical_pair(anti_edges.tau_plus + 1.0 + 1e-3j, 0.0, anticommutator_spec)
+    # ||L^{-1}|| is the reciprocal of the smallest singular value
+    assert 1.0 / np.linalg.svd(pair.op, compute_uv=False)[-1] <= 20.0
+    assert pair.overlap >= 0.05
 
 
 def test_stability_cubic_coefficient_stable(anticommutator_spec, anti_edges):
-    z0 = anti_edges.tau_plus + 1e-10j
-    base = stability_spectrum(z0, 0.0, anticommutator_spec).cubic
+    def cubic(z):
+        """|<L, M Gamma[B] B>| / (l + 1)."""
+        pair = _critical_pair(z, 0.0, anticommutator_spec)
+        target = pair.M @ gamma_operator(pair.B, anticommutator_spec) @ pair.B
+        return float(abs(np.vdot(pair.L, target)) / (anticommutator_spec.l + 1))
+
+    base = cubic(anti_edges.tau_plus + 1e-10j)
     for dz in (-0.05, -0.01, 0.01, 0.05):
-        val = stability_spectrum(anti_edges.tau_plus + dz + 1e-3j, 0.0, anticommutator_spec).cubic
-        assert base / 2.0 <= val <= base * 2.0
+        assert base / 2.0 <= cubic(anti_edges.tau_plus + dz + 1e-3j) <= base * 2.0
 
 
 def test_stability_delta_independent_at_edge(anticommutator_spec, anti_edges):
@@ -300,6 +362,6 @@ def test_stability_regularized_rank_one(complex_half_spec):
     spec = complex_half_spec
     reg = validate_spec(spec.l, spec.A + 1e-7 * spec.norm_a * np.eye(spec.l), spec.b, spec.c)
     edges = compute_edges(reg)
-    st = stability_spectrum(edges.tau_plus + 1e-8j, 0.0, reg)
-    assert abs(st.beta) <= 1e-2
-    assert st.overlap > 0.01
+    pair = _critical_pair(edges.tau_plus + 1e-8j, 0.0, reg)
+    assert abs(pair.beta) <= 1e-2
+    assert pair.overlap > 0.01

@@ -61,6 +61,8 @@ def test_dimension_mismatch():
         validate_spec(2, [[1, 0], [0, 1]], [0], 0.0)
     with pytest.raises(DimensionMismatchError):
         validate_spec(0, [], [], 0.0)
+    with pytest.raises(DimensionMismatchError):
+        validate_spec(True, [[1]], [0], 0.0)
 
 
 def test_non_finite_rejected():
