@@ -19,7 +19,7 @@ from .model import (
     reducible_spec,
     validate_spec,
 )
-from .scalar import PoleSet, StieltjesPoint, poles, solve_m
+from .scalar import StieltjesPoint, poles, solve_m
 from .edges import DirectionStats, EdgeReport, compute_edges, compute_s_a
 from .density import DensityCurve, compute_density, fit_edge_exponent, quantiles, write_density_csv
 from .mde import (
@@ -48,7 +48,6 @@ __all__ = [
     "load_spec",
     "reducible_spec",
     "StieltjesPoint",
-    "PoleSet",
     "poles",
     "solve_m",
     "EdgeReport",

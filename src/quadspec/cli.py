@@ -25,7 +25,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .density import MASS_TOLERANCE, DensityCurve, compute_density, fit_edge_exponent, quantiles, write_density_csv
+from .density import (
+    MASS_TOLERANCE, MIN_N_GRID, DensityCurve, compute_density, fit_edge_exponent, quantiles, write_density_csv
+)
 from .edges import compute_edges
 from .lemmas import entrywise_real_part_violations, quad_stability_violations
 from .mde import BETA_KAPPAS, SingularAError, WignerSquareUnsupportedError, a_is_singular, beta_slopes, solve_m_delta
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="edges JSON, density CSV and plot script")
     p_analyze.add_argument("--spec", required=True)
     p_analyze.add_argument("--out", required=True, help="output prefix")
-    p_analyze.add_argument("--n-grid", type=int, default=512)
+    p_analyze.add_argument("--n-grid", type=partial(_int_at_least, MIN_N_GRID), default=512)
 
     p_verify = sub.add_parser("verify", help="run a verification suite and write its report")
     p_verify.add_argument("--suite", required=True, choices=SUITES)
@@ -371,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--threads", type=partial(_int_at_least, 1), default=1, help="cap on concurrent trials")
     p_verify.add_argument("--eta", type=_positive_float, default=None)
     p_verify.add_argument("--dist", choices=DISTRIBUTIONS, default=GAUSSIAN_COMPLEX)
-    p_verify.add_argument("--n-grid", type=int, default=512)
+    p_verify.add_argument("--n-grid", type=partial(_int_at_least, MIN_N_GRID), default=512)
     return parser
 
 

@@ -38,6 +38,7 @@ SINGULAR_CUTOFF = 1e-6
 FIT_WINDOW = (1e-5, 1e-2)
 MIN_FIT_POINTS = 20
 MASS_TOLERANCE = 1e-3
+MIN_N_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,12 @@ def _stieltjes_walk(energies: np.ndarray, spec: PolynomialSpec):
 def compute_density(spec: PolynomialSpec, edges: EdgeReport, n_grid: int = 512) -> DensityCurve:
     """Density curve over [tau_- - 0.1 W, tau_+ + 0.1 W] with edge refinement.
 
-    ``n_grid`` uniform points (at least 64) are augmented by geometric
+    ``n_grid`` uniform points (at least MIN_N_GRID = 64) are augmented by geometric
     refinement (factor 0.8, 40 points) inside each edge; towards a singular
     hard edge the refinement continues down to distance 1e-6.
     """
-    if n_grid < 64:
-        raise ValueError("n_grid must be at least 64")
+    if n_grid < MIN_N_GRID:
+        raise ValueError(f"n_grid must be at least {MIN_N_GRID}")
     tau_minus, tau_plus = edges.tau_minus, edges.tau_plus
     width = tau_plus - tau_minus
     lo = tau_minus - 0.1 * width

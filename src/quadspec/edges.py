@@ -43,12 +43,8 @@ class InconsistentClassificationError(InfrastructureError):
 
 @dataclass(frozen=True)
 class DirectionStats:
-    """sigma = ||Re v||, mu = <Re v, Im v> and the derived constants a_pm, s."""
+    """The direction constant s of a genuinely complex unit v (threshold s xi = 2)."""
 
-    sigma: float
-    mu: float
-    a_plus: float | None
-    a_minus: float | None
     s: float
 
 
@@ -76,33 +72,21 @@ class EdgeReport:
 
 
 def compute_s_a(v) -> DirectionStats:
-    """Direction constants for a unit vector v with genuinely complex direction.
+    """s = sqrt(tau^4 + mu^2) / (sigma^2 tau^2 - mu^2) for the unit v = x + iy.
 
+    sigma^2 = ||x||^2, tau^2 = ||y||^2 and mu = <x, y>, so s^2 is the (1, 1)
+    entry of G^-2 for the Gram matrix G = [[sigma^2, mu], [mu, tau^2]].  The
+    denominator det G is taken as ||x ^ y||^2 = sum_{i<j} (x_i y_j - x_j y_i)^2
+    (Lagrange's identity), which does not cancel as v nears a real direction.
     Raises RealDirectionError when v is real up to a phase (``model.real_direction``).
-    Near that boundary 1 - sigma^2 cancels and s may come out inf or nan.
     """
     v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
     if real_direction(v) is not None:
         raise RealDirectionError("v is real up to a phase")
-    sigma = float(np.linalg.norm(v.real))
-    mu = float(v.real @ v.imag)
-    if mu != 0.0:
-        t = (1.0 - 2.0 * sigma**2) / (2.0 * mu)
-        root = np.hypot(t, 1.0)
-        if t >= 0.0:  # avoid cancellation; a_plus a_minus = -1 by Vieta
-            a_plus = t + root
-            a_minus = -1.0 / a_plus
-        else:
-            a_minus = t - root
-            a_plus = -1.0 / a_minus
-        s2 = 0.0
-        with np.errstate(all="ignore"):
-            for a in (a_plus, a_minus):
-                s2 += 1.0 / ((sigma**2 + a**2 * (1.0 - sigma**2) + 2.0 * a * mu) * (sigma**2 + a * mu))
-            s = float(np.sqrt(s2))
-        return DirectionStats(sigma=sigma, mu=mu, a_plus=a_plus, a_minus=a_minus, s=s)
-    return DirectionStats(sigma=sigma, mu=mu, a_plus=None, a_minus=None, s=sigma**-2)
+    x, y = v.real, v.imag
+    wedge = np.outer(x, y) - np.outer(y, x)
+    return DirectionStats(s=float(np.hypot(y @ y, x @ y) / (0.5 * np.sum(wedge**2))))
 
 
 def _h_real(x: float, spec: PolynomialSpec) -> float:
@@ -171,7 +155,7 @@ def _hard_edge_exponents(classification: SpectralClassification) -> tuple[float 
         return None, None
     real = classification.v_is_real_up_to_phase
     product = classification.xi
-    if product != 0.0 and not real:  # at xi = 0 an overflowed s would make s * xi nan
+    if product != 0.0 and not real:
         product *= compute_s_a(classification.v).s
     if not product <= 2.0 * (1.0 + THRESHOLD_RTOL):  # a nan s keeps the roots
         return None, None
@@ -197,12 +181,9 @@ def compute_edges(spec: PolynomialSpec, classification: SpectralClassification |
     """
     if classification is None:
         classification = classify_polynomial(spec)
-    pole_set = poles(spec)
     escaped = ESCAPED_ROOT_FACTOR * (1.0 + 1.0 / spec.norm_a)
     sides = []  # (m, tau, regular, exponent, h'(m)) for the right edge (m_plus side), then the left edge
-    for side, boundary, exponent in zip(
-        (-1, +1), (pole_set.m_star_plus, pole_set.m_star_minus), _hard_edge_exponents(classification)
-    ):
+    for side, boundary, exponent in zip((-1, +1), poles(spec), _hard_edge_exponents(classification)):
         m = _scan_side(spec, boundary, side)
         if exponent is None and m is None:
             raise InconsistentClassificationError(

@@ -20,6 +20,7 @@ RANK_ONE_RTOL = 1e-10
 B_SPAN_TOL = 1e-10
 B_PROJ_RTOL = 1e-12
 EIG_ZERO_RTOL = 1e-14
+REAL_DIRECTION_RTOL = 1e-10
 
 
 class SpecError(ValueError):
@@ -145,6 +146,9 @@ def validate_spec(l: int, A, b, c) -> PolynomialSpec:
     """
     if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l < 1:
         raise DimensionMismatchError(f"l must be a positive integer, got {l!r}")
+    # np.asarray takes a boolean as 0 or 1, and a mixed list hides it in a float array
+    if any(isinstance(x, (bool, np.bool_)) for coeff in (A, b, c) for x in np.asarray(coeff, dtype=object).flat):
+        raise DimensionMismatchError("coefficients must be numbers, not booleans")
     A = np.asarray(A, dtype=complex)
     b_arr = np.asarray(b)
     if np.iscomplexobj(b_arr) and np.any(b_arr.imag != 0):
@@ -259,15 +263,15 @@ def spec_hash_payload(spec: PolynomialSpec) -> str:
     return json.dumps(spec.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def real_direction(v: np.ndarray, rtol: float = 1e-10) -> np.ndarray | None:
+def real_direction(v: np.ndarray) -> np.ndarray | None:
     """Return a real unit vector u with v = e^{i phi} u, or None if genuinely complex.
 
     The one real-direction test: the classification and ``edges.compute_s_a`` both use it.
     """
     k = int(np.argmax(np.abs(v)))
-    u = (v * np.exp(-1j * np.angle(v[k]))).real
-    residual = np.linalg.norm(v * np.exp(-1j * np.angle(v[k])) - u)
-    if residual > rtol:
+    rotated = v * np.exp(-1j * np.angle(v[k]))
+    u = rotated.real
+    if np.linalg.norm(rotated - u) > REAL_DIRECTION_RTOL:
         return None
     n = np.linalg.norm(u)
     return u / n
@@ -344,8 +348,8 @@ def classify_polynomial(spec: PolynomialSpec) -> SpectralClassification:
         # b = -2 alpha xi Re(e^{i phi} v) pins the phase
         cos_phi = -c1 / (2.0 * alpha * xi)
         sin_phi = c2 / (2.0 * alpha * xi)
-        phi = float(np.arctan2(sin_phi, cos_phi))
-        v_fixed = v * np.exp(1j * phi)
+        rot = complex(cos_phi, sin_phi)
+        v_fixed = v * (rot / abs(rot))
     square = real_up_to_phase and xi == 0.0
     return SpectralClassification(
         kind="WignerSquare" if square else "ShiftedReducible",

@@ -42,20 +42,6 @@ class StieltjesPoint:
     iterations: int
 
 
-@dataclass(frozen=True)
-class PoleSet:
-    """Real poles of gamma with the maximal pole-free intervals around 0.
-
-    h has the same poles plus 0, so ``(m_star_plus, 0)`` and
-    ``(0, m_star_minus)`` are the maximal intervals to the left and the right
-    of the origin on which h is continuous.
-    """
-
-    gamma_poles: np.ndarray
-    m_star_plus: float
-    m_star_minus: float
-
-
 def _columns(spec: PolynomialSpec, ndim: int):
     """mu, mu^2, mu_hat and w2 as columns along a leading eigen-axis for an m of ``ndim`` dimensions."""
     column = (-1,) + (1,) * ndim
@@ -118,24 +104,21 @@ def h_prime(m, spec: PolynomialSpec):
     return out
 
 
-def poles(spec: PolynomialSpec) -> PoleSet:
-    """Exact pole lists from the eigendata.
+def poles(spec: PolynomialSpec) -> tuple[float, float]:
+    """(m_star_plus, m_star_minus): the poles of gamma nearest 0 on its left and its right.
 
-    A_hat eigendirections enter only when they carry b weight
-    (|<w_i, b>|^2 > 1e-12 ||b||^2).
+    h has the same poles plus 0, so ``(m_star_plus, 0)`` and
+    ``(0, m_star_minus)`` are the maximal intervals to the left and the right
+    of the origin on which h is continuous; a side without a pole is
+    unbounded (-inf or inf).  The poles are -1/mu_i and, for the A_hat
+    eigendirections that carry b weight (|<w_i, b>|^2 > 1e-12 ||b||^2),
+    -1/(2 mu_hat_i).
     """
-    mu, mu_hat = spec.mu, spec.mu_hat
-    gamma_list = [-1.0 / x for x in mu]
-    gamma_list += [-0.5 / x for x in mu_hat[np.abs(mu_hat) > EIG_ZERO_RTOL * max(spec.norm_a, 1e-300)]]
-    gamma_poles = np.array(sorted(gamma_list))
-    negative = gamma_poles[gamma_poles < 0.0]
-    positive = gamma_poles[gamma_poles > 0.0]
-    m_star_plus = float(negative.max()) if len(negative) else -np.inf
-    m_star_minus = float(positive.min()) if len(positive) else np.inf
-    return PoleSet(
-        gamma_poles=gamma_poles,
-        m_star_plus=m_star_plus,
-        m_star_minus=m_star_minus,
+    mu_hat = spec.mu_hat[np.abs(spec.mu_hat) > EIG_ZERO_RTOL * max(spec.norm_a, 1e-300)]
+    gamma_poles = np.concatenate([-1.0 / spec.mu, -0.5 / mu_hat])
+    return (
+        float(gamma_poles[gamma_poles < 0.0].max(initial=-np.inf)),
+        float(gamma_poles[gamma_poles > 0.0].min(initial=np.inf)),
     )
 
 

@@ -265,8 +265,8 @@ def test_classify_exit_code_contract(tmp_path, command, spec):
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-6])
 def test_near_real_direction_is_not_input_error(eps, tmp_path):
-    # v = (1, i eps) is genuinely complex to the classification, so the edges must not call it real;
-    # for eps <= 1e-8, 1 - sigma^2 cancels in s and the edge verdict cannot be trusted (exit 3)
+    # v = (1, i eps) is genuinely complex to the classification, so the edges must not call it real,
+    # and s -> 1 as eps -> 0 keeps s xi = 2 eps^2-close to (X1 - 1)^2's xi = 1: both edges regular
     v = np.array([1.0, 1j * eps])
     v = v / np.linalg.norm(v)
     A = np.outer(v, v.conj())
@@ -281,11 +281,10 @@ def test_near_real_direction_is_not_input_error(eps, tmp_path):
         warnings.simplefilter("always")
         code = main(["analyze", "--n-grid", "64", "--spec", json.dumps(payload), "--out", prefix])
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert code in ((EXIT_OK,) if eps >= 1e-6 else (EXIT_OK, EXIT_INFRA))
-    if code == EXIT_OK:
-        edges = json.loads(Path(prefix + "_edges.json").read_text())
-        assert edges["tau_plus"] == pytest.approx(9.0, abs=1e-9)  # the eps = 0 edges of (X1 - 1)^2
-        assert edges["tau_minus"] == pytest.approx(0.0, abs=1e-9)
+    assert code == EXIT_OK
+    edges = json.loads(Path(prefix + "_edges.json").read_text())
+    assert edges["tau_plus"] == pytest.approx(9.0, abs=1e-9)  # the eps = 0 edges of (X1 - 1)^2
+    assert edges["tau_minus"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_analyze_squared_wigner(wsq_file, tmp_path, capsys):
@@ -602,14 +601,25 @@ def test_verify_rejects_bad_eta_before_compute(value, wsq_file, tmp_path, monkey
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--threads", "0"), ("--threads", "-2"), ("--trials", "0"), ("--seed", "-1")],
-    ids=["0", "-2", "trials-0", "seed-negative"],
+    [("--threads", "0"), ("--threads", "-2"), ("--trials", "0"), ("--seed", "-1"), ("--n-grid", "63"), ("--n-grid", "3")],
+    ids=["0", "-2", "trials-0", "seed-negative", "n-grid-63", "n-grid-3"],
 )
 def test_verify_rejects_threads_below_one(option, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "lemmas", option, value, "--out", str(tmp_path / "t")])
     assert excinfo.value.code == EXIT_INPUT
     assert option in capsys.readouterr().err
+
+
+def test_analyze_rejects_small_n_grid_before_compute(wsq_file, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("classification ran before --n-grid was checked")
+
+    monkeypatch.setattr(cli_module, "classify_polynomial", must_not_run)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--spec", wsq_file, "--n-grid", "10", "--out", str(tmp_path / "g")])
+    assert excinfo.value.code == EXIT_INPUT
+    assert "--n-grid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", [["density"], ["deloc", "--dist", "rademacher"]], ids=["density", "deloc"])

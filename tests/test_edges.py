@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from quadspec import (
     classify_polynomial,
     compute_edges,
     compute_s_a,
+    load_spec,
     poles,
     reducible_spec,
     solve_m,
@@ -204,29 +206,49 @@ def test_edges_negative_alpha_mirror(shifted_square_spec):
 
 
 def test_direction_stats_examples(complex_direction):
-    st = compute_s_a(complex_direction)
-    assert st.sigma**2 == pytest.approx(0.5, abs=1e-14)
-    assert st.mu == pytest.approx(0.0, abs=1e-14)
-    assert st.s == pytest.approx(2.0, abs=1e-12)
+    assert compute_s_a(complex_direction).s == pytest.approx(2.0, abs=1e-12)  # sigma^2 = tau^2 = 1/2, mu = 0
     with pytest.raises(RealDirectionError):
         compute_s_a(np.array([1.0, 0.0]))
     with pytest.raises(RealDirectionError):
         compute_s_a(np.exp(0.7j) * np.array([0.6, 0.8]))  # real up to a twisted phase
 
 
-def test_direction_stats_vieta():
+def test_direction_stats_rational_oracle():
+    # s^2 = n^4 (tau^4 + mu^2) / (sigma^2 tau^2 - mu^2)^2 in exact rationals on the float components of
+    # an unnormalized v, n^2 = sigma^2 + tau^2, is independent of the closed form's floating-point path
     rng = np.random.default_rng(3)
     count = 0
     while count < 1000:
         l = int(rng.integers(2, 6))
         v = rng.standard_normal(l) + 1j * rng.standard_normal(l)
         try:
-            st = compute_s_a(v)
+            s = compute_s_a(v).s
         except RealDirectionError:
             continue
         count += 1
-        if st.a_plus is not None:
-            assert st.a_plus * st.a_minus == pytest.approx(-1.0, abs=1e-12)
+        x = [Fraction(float(t)) for t in v.real]
+        y = [Fraction(float(t)) for t in v.imag]
+        sigma2, tau2, mu = sum(t * t for t in x), sum(t * t for t in y), sum(a * b for a, b in zip(x, y))
+        s2 = (sigma2 + tau2) ** 2 * (tau2**2 + mu**2) / (sigma2 * tau2 - mu**2) ** 2
+        assert s**2 == pytest.approx(float(s2), rel=1e-12)
+
+
+def test_at_threshold_near_real_direction_keeps_its_exponent():
+    # s = 5.4e7 and s xi = 2 up to round-off: the hard edge is the p = -1/3 one, which a cancelling s missed
+    spec = load_spec({
+        "l": 2,
+        "A": [
+            [{"re": 0.27171595213853045, "im": 0.0}, {"re": -0.44484422263640716, "im": 0.00010525679499809074}],
+            [{"re": -0.44484422263640716, "im": -0.00010525679499809074}, {"re": 0.7282840478614696, "im": 0.0}],
+        ],
+        "b": [3.068318136183151e-08, -5.0242423659196105e-08],
+        "c": 1.357416037563573e-15,
+    })
+    classification = classify_polynomial(spec)
+    assert compute_s_a(classification.v).s * classification.xi == pytest.approx(2.0, rel=THRESHOLD_RTOL)
+    rep = compute_edges(spec, classification)
+    assert rep.left_exponent == pytest.approx(-1.0 / 3.0)
+    assert rep.right_exponent == 0.5
 
 
 def test_direction_stats_match_weighted_eigendata():
@@ -283,8 +305,7 @@ def test_root_existence_matches_scan():
             v = rng.standard_normal(l) + 1j * rng.standard_normal(l)
         spec = reducible_spec(-abs(rng.standard_normal()) - 0.1, abs(rng.standard_normal()), v)
         verdict = root_existence_conditions(spec)
-        ps = poles(spec)
-        found = _count_sign_changes(spec, ps.m_star_plus, -1) > 0
+        found = _count_sign_changes(spec, poles(spec)[0], -1) > 0
         assert verdict.root_exists == found
         assert verdict.root_exists == (_hard_edge_exponents(classify_polynomial(spec))[0] is None)
 
@@ -295,9 +316,9 @@ def test_scan_sees_at_most_one_sign_change():
         l = int(rng.integers(2, 5))
         g = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
         spec = validate_spec(l, 0.5 * (g + g.conj().T), rng.standard_normal(l), float(rng.standard_normal()))
-        ps = poles(spec)
-        assert _count_sign_changes(spec, ps.m_star_plus, -1) <= 1
-        assert _count_sign_changes(spec, ps.m_star_minus, +1) <= 1
+        m_star_plus, m_star_minus = poles(spec)
+        assert _count_sign_changes(spec, m_star_plus, -1) <= 1
+        assert _count_sign_changes(spec, m_star_minus, +1) <= 1
 
 
 def test_edge_solver_consistency(wigner_square_spec, anticommutator_spec):

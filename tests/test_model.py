@@ -63,6 +63,17 @@ def test_dimension_mismatch():
         validate_spec(0, [], [], 0.0)
     with pytest.raises(DimensionMismatchError):
         validate_spec(True, [[1]], [0], 0.0)
+    # a boolean coefficient is not a number, alone, in a mixed list or as a numpy bool
+    for A, b, c in (
+        ([[True]], [False], False),
+        ([[True, 1.0], [1.0, 0]], [0, 0], 0),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.bool_(True), 0.0], 0.0),
+        ([[1.0]], [0.0], np.bool_(False)),
+        (np.array([[True]]), [0.0], 0.0),
+        ([[1.0]], np.array([False]), 0.0),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            validate_spec(len(A), A, b, c)
 
 
 def test_non_finite_rejected():

@@ -158,36 +158,28 @@ def test_gamma_prime_finite_differences(spec_name, request):
 
 
 def test_pole_sets(wigner_square_spec, anticommutator_spec):
-    ps = poles(wigner_square_spec)
-    assert ps.gamma_poles.tolist() == [-1.0]
-    assert ps.m_star_plus == -1.0
-    assert ps.m_star_minus == np.inf
-
-    ps2 = poles(anticommutator_spec)
-    assert np.allclose(ps2.gamma_poles, [-1.0, 1.0])
-    assert ps2.m_star_plus == -1.0 and ps2.m_star_minus == 1.0
-
-    ps3 = poles(validate_spec(1, [[-1.0]], [0.0], 0.0))
-    assert ps3.gamma_poles.tolist() == [1.0]
-    assert ps3.m_star_plus == -np.inf and ps3.m_star_minus == 1.0
+    assert poles(wigner_square_spec) == (-1.0, np.inf)
+    assert poles(anticommutator_spec) == (-1.0, 1.0)
+    assert poles(validate_spec(1, [[-1.0]], [0.0], 0.0)) == (-np.inf, 1.0)
+    # b reaches both A_hat eigendirections, so -1/(2 mu_hat) = -0.5 and 0.5 sit inside the mu poles -1 and 1
+    assert poles(validate_spec(2, [[1, 0], [0, -1]], [1.0, 1.0], 0.0)) == (-0.5, 0.5)
 
 
 def test_pole_values_blow_up(anticommutator_spec):
-    # every listed pole is a genuine pole of h, including the b-weighted family
+    # h is finite inside (m_star_plus, 0) and (0, m_star_minus) and blows up next to each finite bound
     with_b = validate_spec(2, [[1, 0], [0, -1]], [1.0, 1.0], 0.0)
     for spec in (anticommutator_spec, with_b):
-        ps = poles(spec)
-        for p in ps.gamma_poles:
-            assert abs(h_value(complex(p + 1e-4), spec)) > 1e6
+        m_star_plus, m_star_minus = poles(spec)
+        inside = np.concatenate([np.linspace(m_star_plus, 0.0, 50)[1:-1], np.linspace(0.0, m_star_minus, 50)[1:-1]])
+        assert np.all(np.isfinite(h_value(inside.astype(complex), spec)))
+        assert abs(h_value(complex(m_star_plus + 1e-4), spec)) > 1e6
+        assert abs(h_value(complex(m_star_minus - 1e-4), spec)) > 1e6
 
 
 def test_b_weight_filter():
-    # b orthogonal to an A_hat eigenvector removes the corresponding pole family
-    spec = validate_spec(2, [[1, 0], [0, -1]], [1.0, 0.0], 0.0)
-    ps = poles(spec)
-    # mu poles at -1, +1; b couples only to the first eigendirection (mu_hat = ±1)
-    assert any(np.isclose(ps.gamma_poles, 0.5)) or any(np.isclose(ps.gamma_poles, -0.5))
-    assert not (any(np.isclose(ps.gamma_poles, 0.5)) and any(np.isclose(ps.gamma_poles, -0.5)))
+    # b orthogonal to an A_hat eigenvector removes that b-weighted pole; the mu poles -1, 1 stay
+    assert poles(validate_spec(2, [[1, 0], [0, -1]], [1.0, 0.0], 0.0)) == (-0.5, 1.0)  # mu_hat = 1 survives
+    assert poles(validate_spec(2, [[1, 0], [0, -1]], [0.0, 1.0], 0.0)) == (-1.0, 0.5)  # mu_hat = -1 survives
 
 
 def test_solve_m_squared_wigner_closed_form(wigner_square_spec):
