@@ -30,7 +30,7 @@ from .density import (
 )
 from .edges import compute_edges
 from .lemmas import entrywise_real_part_violations, quad_stability_violations
-from .mde import BETA_KAPPAS, SingularAError, WignerSquareUnsupportedError, a_is_singular, beta_slopes, solve_m_delta
+from .mde import BETA_KAPPAS, WignerSquareUnsupportedError, beta_slopes, solve_m_delta
 from .model import InfrastructureError, SpecError, classify_polynomial, load_spec, spec_hash_payload
 from .scalar import solve_m
 from .sim import (
@@ -251,8 +251,6 @@ def run_suite_stability(spec, seed) -> ComparisonReport:
     classification = classify_polynomial(spec)
     if classification.kind == "WignerSquare":
         raise WignerSquareUnsupportedError("the stability suite excludes shifted Wigner squares")
-    if a_is_singular(spec):
-        raise SingularAError("the stability suite needs invertible A (Dyson-equation residuals)")
     edges = compute_edges(spec, classification)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(77,)))
     max_residual = 0.0

@@ -9,12 +9,13 @@ The Dyson equation
 
 has a solution M expressible through its (1,1) entry m_delta, which solves the
 scalar equation -1/m = z + gamma_delta(m).  Gamma[R] = sum_j K_j R K_j is
-applied in closed form by ``gamma_operator``, and the matrix K_0 is formed only
-inside the equation's residual.  The stability operator
-L[R] = R - M Gamma[R] M is materialized densely on the (l+1)^2-dimensional
-matrix space by ``stability_operator_matrix``; its smallest eigenvalue beta,
-which ``stability_spectrum`` returns, vanishes like sqrt(kappa + eta) at a
-regular edge.
+applied in closed form by ``gamma_operator``.  M[1:, :] = A_delta N with
+A_delta = A (I + i eta delta A)^{-1} = (i eta delta + A^{-1})^{-1} where A^{-1}
+exists, so the residual takes N for the rows 1: of (Z - K_0) M and exists for
+every A.  The stability operator L[R] = R - M Gamma[R] M is materialized
+densely on the (l+1)^2-dimensional matrix space by ``stability_operator_matrix``;
+its smallest eigenvalue beta, which ``stability_spectrum`` returns, vanishes
+like sqrt(kappa + eta) at a regular edge.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from .edges import EdgeReport
 from .model import InfrastructureError, PolynomialSpec, SpectralClassification, classify_polynomial
 from .scalar import NoConvergenceError, damped_newton, solve_m
 
-SINGULAR_A_RTOL = 1e-10
 BETA_KAPPAS = (1e-2, 1e-4, 1e-6)
-
-
-class SingularAError(InfrastructureError):
-    """A is not invertible, so K0 and the Dyson-equation residual do not exist;
-    a valid spec (not a ValueError) for which an epsilon-perturbed spec can be used."""
 
 
 class WignerSquareUnsupportedError(InfrastructureError):
@@ -47,7 +42,7 @@ class MDESolution:
     """Solution of the delta-regularized Dyson equation at one spectral parameter.
 
     ``de_residual`` is the operator norm of I + (zJ + i eta delta (I-J) - K0 +
-    Gamma[M]) M; it is NaN when A is singular (K0 does not exist there).
+    Gamma[M]) M, formed without A^{-1}, so it exists for every A.
     """
 
     m_delta: complex
@@ -60,11 +55,6 @@ class StabilityReport:
     """Smallest-modulus eigenvalue beta of the stability operator."""
 
     beta: complex
-
-
-def a_is_singular(spec: PolynomialSpec) -> bool:
-    """A has an eigenvalue below SINGULAR_A_RTOL ||A||, so K0 = diag(c, -A^{-1}) does not exist."""
-    return bool(np.min(np.abs(spec.eig_a)) < SINGULAR_A_RTOL * spec.norm_a)
 
 
 def gamma_operator(R: np.ndarray, spec: PolynomialSpec) -> np.ndarray:
@@ -110,30 +100,37 @@ def _gamma_delta_and_prime(x: complex, spec: PolynomialSpec, A_delta, A_hat_delt
     return complex(value), complex(prime)
 
 
-def m_matrix(x: complex, spec: PolynomialSpec, z: complex, delta: float) -> np.ndarray:
-    """Dyson-equation solution matrix as a function of its (1,1) entry x."""
+def _m_factors(x: complex, spec: PolynomialSpec, z: complex, delta: float):
+    """A_delta, V = x (I + 2x A_hat_delta)^{-1} and (I + x A_delta)^{-1}, the factors of M at x."""
     A_delta, A_hat_delta = _a_delta(spec, z, delta)
+    eye = np.eye(spec.l)
+    return A_delta, x * np.linalg.inv(eye + 2.0 * x * A_hat_delta), np.linalg.inv(eye + x * A_delta)
+
+
+def m_matrix(x: complex, spec: PolynomialSpec, z: complex, delta: float) -> np.ndarray:
+    """Dyson-equation solution matrix as a function of its (1,1) entry x; its rows 1: are A_delta N."""
+    A_delta, V, inv1 = _m_factors(x, spec, z, delta)
     l = spec.l
-    eye = np.eye(l)
-    V = x * np.linalg.inv(eye + 2.0 * x * A_hat_delta)
     b = spec.b
     M = np.zeros((l + 1, l + 1), dtype=complex)
     M[0, 0] = x
     M[0, 1:] = -x * (b @ V @ A_delta)
     M[1:, 0] = -x * (A_delta @ V @ b)
-    M[1:, 1:] = -A_delta @ np.linalg.inv(eye + x * A_delta) + x * (A_delta @ V @ np.outer(b, b) @ V @ A_delta)
+    M[1:, 1:] = -A_delta @ inv1 + x * (A_delta @ V @ np.outer(b, b) @ V @ A_delta)
     return M
 
 
 def _de_residual(M: np.ndarray, spec: PolynomialSpec, z: complex, delta: float) -> float:
-    if a_is_singular(spec):
-        return float("nan")
-    l = spec.l
-    # Z - K0 = diag(z - c, i eta delta I + A^{-1})
-    z_minus_k0 = np.zeros((l + 1, l + 1), dtype=complex)
-    z_minus_k0[0, 0] = z - spec.c
-    z_minus_k0[1:, 1:] = 1j * z.imag * delta * np.eye(l) + np.linalg.inv(spec.A)
-    residual = np.eye(l + 1) + (z_minus_k0 + gamma_operator(M, spec)) @ M
+    x = M[0, 0]
+    A_delta, V, inv1 = _m_factors(x, spec, z, delta)
+    b = spec.b
+    # Z - K0 = diag(z - c, i eta delta I + A^{-1}) and (i eta delta I + A^{-1}) A_delta = I, so the
+    # rows 1: of (Z - K0) M are N, whose columns are -x V b and -(I + x A_delta)^{-1} + x V b b^t V A_delta
+    z_minus_k0_m = np.empty_like(M)
+    z_minus_k0_m[0] = (z - spec.c) * M[0]
+    z_minus_k0_m[1:, 0] = -x * (V @ b)
+    z_minus_k0_m[1:, 1:] = -inv1 + x * (V @ np.outer(b, b) @ V @ A_delta)
+    residual = np.eye(spec.l + 1) + z_minus_k0_m + gamma_operator(M, spec) @ M
     return float(np.linalg.norm(residual, ord=2))
 
 

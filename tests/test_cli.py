@@ -16,7 +16,7 @@ import quadspec.cli as cli_module
 from quadspec import compute_density, compute_edges, quantiles
 from quadspec.cli import EXIT_CRITERIA, EXIT_INFRA, EXIT_INPUT, EXIT_OK, compare_ks, main, spec_digest
 from quadspec.edges import InconsistentClassificationError
-from quadspec.mde import SingularAError, WignerSquareUnsupportedError
+from quadspec.mde import WignerSquareUnsupportedError
 from quadspec.model import InfrastructureError, load_spec
 from quadspec.scalar import NoConvergenceError
 from quadspec.sim import AsymmetryBlowupError, SimulationError, trial_workers
@@ -430,6 +430,37 @@ def test_verify_stability_rejects_wigner_square(wsq_file, tmp_path):
     assert code == EXIT_INFRA
 
 
+def _spec_payload(A, b, c):
+    return {
+        "l": len(b),
+        "A": [[{"re": z.real, "im": z.imag} for z in row] for row in np.asarray(A, dtype=complex)],
+        "b": [float(x) for x in b],
+        "c": float(c),
+    }
+
+
+_V3 = np.array([1.0, 0.5 + 0.5j, -0.3j]) / np.linalg.norm([1.0, 0.5 + 0.5j, -0.3j])
+_U3, _W3 = np.array([1.0, 0.4, -0.2]), np.array([0.3, -1.0, 0.5])
+
+
+@pytest.mark.parametrize("payload", [
+    {"l": 2, "A": [[0.2, 0.4], [0.4, 0.8]], "b": [-0.6, -1.2], "c": 0.5},
+    _spec_payload(np.outer(_V3, _V3.conj()), [0.4, -0.7, 0.2], 0.1),
+    _spec_payload(np.outer(_V3, _V3.conj()), -0.6 * _V3.real, 0.09),  # (v*X - 0.3)(v*X - 0.3)*
+    _spec_payload(np.outer(_U3, _U3) - 0.5 * np.outer(_W3, _W3), [0.5, 0.2, -0.4], 0.2),
+], ids=["rank-one-real-l2", "rank-one-complex-l3", "reducible-complex-l3", "rank-two-l3"])
+def test_verify_stability_singular_a(payload, tmp_path):
+    # a singular A has no K0 = diag(c, -A^{-1}), yet its Dyson residual and beta slopes are checked in full
+    prefix = str(tmp_path / "sa")
+    code = main(["verify", "--suite", "stability", "--spec", json.dumps(payload), "--seed", "1", "--out", prefix])
+    assert code == EXIT_OK
+    report = json.loads(Path(prefix + "_report.json").read_text())
+    assert report["values"]["max_de_residual"] <= 1e-9
+    assert report["values"]["beta_slopes"]
+    for slope in report["values"]["beta_slopes"].values():
+        assert cli_module.STABILITY_SLOPE_RANGE[0] <= slope <= cli_module.STABILITY_SLOPE_RANGE[1]
+
+
 def test_verify_stability_anticommutator(anti_file, tmp_path):
     prefix = str(tmp_path / "st")
     code = main(["verify", "--suite", "stability", "--spec", anti_file, "--seed", "3", "--out", prefix])
@@ -535,7 +566,6 @@ INFRASTRUCTURE_ERRORS = {
     "asymmetry": AsymmetryBlowupError("non-Hermitian input"),
     "classification": InconsistentClassificationError("scan disagrees"),
     "no-convergence": NoConvergenceError(1.0 + 1e-9j, 1.0),
-    "singular-a": SingularAError("A is singular"),
     "wigner-square": WignerSquareUnsupportedError("shifted Wigner square"),
 }
 
@@ -547,7 +577,6 @@ INFRASTRUCTURE_ERRORS = {
         ("simulate_run", "asymmetry"),
         ("compute_edges", "classification"),
         ("compute_edges", "no-convergence"),
-        ("simulate_run", "singular-a"),
         ("simulate_run", "wigner-square"),
     ],
 )
@@ -575,7 +604,7 @@ def _subclasses(cls):
 def test_every_infrastructure_error_exits_3(monkeypatch, tmp_path, capsys):
     # the exit-code policy is the class hierarchy: an InfrastructureError is never an input error
     assert set(_subclasses(InfrastructureError)) == {type(exc) for exc in INFRASTRUCTURE_ERRORS.values()}
-    assert len(INFRASTRUCTURE_ERRORS) == 6
+    assert len(INFRASTRUCTURE_ERRORS) == 5
     for exc in INFRASTRUCTURE_ERRORS.values():
         assert not isinstance(exc, ValueError), exc
 

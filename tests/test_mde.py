@@ -20,7 +20,6 @@ from quadspec.mde import (
     _a_delta,
     _gamma_delta_and_prime,
     _gamma_matrix,
-    a_is_singular,
     beta_slopes,
     stability_operator_matrix,
 )
@@ -91,16 +90,39 @@ def test_gamma_operator_is_the_pencil_sum(l, a_kind):
         assert np.linalg.norm(gamma_operator(R, spec) - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
+def _residual_by_inverse(M, spec, z, delta):
+    """The Dyson-equation residual with K0 = diag(c, -A^{-1}) formed explicitly; invertible A only."""
+    l = spec.l
+    z_minus_k0 = np.zeros((l + 1, l + 1), dtype=complex)
+    z_minus_k0[0, 0] = z - spec.c
+    z_minus_k0[1:, 1:] = 1j * z.imag * delta * np.eye(l) + np.linalg.inv(spec.A)
+    return float(np.linalg.norm(np.eye(l + 1) + (z_minus_k0 + gamma_operator(M, spec)) @ M, ord=2))
+
+
+@pytest.mark.parametrize("spec", [
+    validate_spec(1, [[1.0]], [0.0], 0.0),
+    validate_spec(2, [[0, 1], [1, 0]], [0, 0], 0.0),
+    validate_spec(2, [[1.0, 0.3 + 0.4j], [0.3 - 0.4j, -0.5]], [0.7, -0.2], 0.3),
+], ids=["wigner-square", "anticommutator", "complex-l2"])
+def test_residual_matches_inverse_form(spec):
+    # the residual never forms A^{-1}; where A is invertible it is the explicit K0 form up to round-off
+    rng = np.random.default_rng(26)
+    for _ in range(100):
+        z = complex(rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 0.5))
+        delta = float(rng.uniform(0.0, 1.0))
+        sol = solve_m_delta(z, delta, spec)
+        assert abs(sol.de_residual - _residual_by_inverse(sol.M, spec, z, delta)) <= 1e-14
+
+
 def test_linearization_singular_a():
-    # K0 = diag(c, -A^{-1}) does not exist for singular A, so neither does the Dyson residual;
-    # the epsilon-regularized spec has one, and it vanishes
+    # K0 = diag(c, -A^{-1}) does not exist for singular A, but the Dyson residual does, and it vanishes;
+    # so it does on the epsilon-regularized spec
     spec = validate_spec(2, [[1, 0], [0, 0]], [0, 0], 0.0)
-    assert a_is_singular(spec)
+    assert np.min(np.abs(spec.eig_a)) == 0.0
     reg = validate_spec(2, spec.A + 1e-7 * spec.norm_a * np.eye(2), spec.b, spec.c)
-    assert not a_is_singular(reg)
     assert np.min(np.abs(reg.eig_a)) >= 1e-8
     for z, delta in ((0.3 + 0.5j, 0.0), (-0.2 + 1e-3j, 0.5), (3.0 + 1.0j, 1.0)):
-        assert np.isnan(solve_m_delta(z, delta, spec).de_residual)
+        assert solve_m_delta(z, delta, spec).de_residual <= 1e-9
         assert solve_m_delta(z, delta, reg).de_residual <= 1e-9
 
 
@@ -357,11 +379,10 @@ def test_stability_delta_independent_at_edge(anticommutator_spec, anti_edges):
     assert abs(beta0 - beta1) <= 1e-4
 
 
-def test_stability_regularized_rank_one(complex_half_spec):
-    # singular A goes through the epsilon-perturbation path, A + 1e-7 ||A|| I
+def test_stability_rank_one(complex_half_spec):
+    # a reducible spec with l = 2 has rank-one, so singular, A; its critical eigenvalue is small at the edge
     spec = complex_half_spec
-    reg = validate_spec(spec.l, spec.A + 1e-7 * spec.norm_a * np.eye(spec.l), spec.b, spec.c)
-    edges = compute_edges(reg)
-    pair = _critical_pair(edges.tau_plus + 1e-8j, 0.0, reg)
+    edges = compute_edges(spec)
+    pair = _critical_pair(edges.tau_plus + 1e-8j, 0.0, spec)
     assert abs(pair.beta) <= 1e-2
     assert pair.overlap > 0.01
