@@ -22,7 +22,6 @@ from datetime import datetime, timezone
 from functools import partial
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .density import (
@@ -292,7 +291,6 @@ def _append_run_record(
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "quadspec": __version__,
         },
         "spec_hash": spec_hash,

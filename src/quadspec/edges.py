@@ -12,23 +12,28 @@ the right edge are reversed.
 
 ``compute_edges`` is the one entry point: per side it scans for the root,
 cross-checks the scan against the analytic edge verdict
-(``_hard_edge_exponents``) and builds the edge.
+(``_hard_edge_exponents``) and builds the edge.  The root is refined by
+``_brent``, Brent's method (R. P. Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 4) transcribed step for step from SciPy's
+``brentq.c``, so each iterate is the same IEEE double as SciPy's ``brentq``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import InfrastructureError, PolynomialSpec, SpectralClassification, classify_polynomial, real_direction
-from .scalar import gamma_value, h_prime, h_value, poles
+from .scalar import NoConvergenceError, gamma_value, h_prime, h_value, poles
 
 SCAN_POINTS = 400
 SCAN_INNER = 1e-8
 SCAN_CAP = 1e8
+ROOT_XTOL = 1e-14
 ROOT_RTOL = 1e-13
+ROOT_MAXITER = 100
 THRESHOLD_RTOL = 1e-9
 ESCAPED_ROOT_FACTOR = 1e3
 
@@ -93,6 +98,63 @@ def _h_real(x: float, spec: PolynomialSpec) -> float:
     return float(np.real(h_value(complex(x), spec)))
 
 
+def _brent(f, a: float, b: float) -> float:
+    """Root of f in the bracket [a, b] by Brent's method, step for step SciPy's ``brentq.c``.
+
+    Same xtol (ROOT_XTOL), rtol (ROOT_RTOL), iteration cap (ROOT_MAXITER) and
+    choice between inverse interpolation, extrapolation and bisection, in the
+    same order of floating-point operations, so the result is bitwise SciPy
+    ``brentq``'s.  A NaN value of f, ends of one sign and
+    ROOT_MAXITER steps without convergence raise NoConvergenceError.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise NoConvergenceError(complex(x), fx)
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NoConvergenceError(complex(xcur), fcur)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(ROOT_MAXITER):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):  # xcur and xblk bracket the root
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C divides to inf or nan, which fails the test below
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NoConvergenceError(complex(xcur), fcur)
+
+
 def _scan_grid(spec: PolynomialSpec, boundary: float, sign: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid between sign*1e-8 and the interval boundary with the finite values of h on it.
 
@@ -128,7 +190,7 @@ def _scan_side(spec: PolynomialSpec, boundary: float, sign: int) -> float | None
     i = flips[0]
     a, b = grid[i], grid[i + 1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a non-finite step is not taken
-        root = brentq(_h_real, min(a, b), max(a, b), args=(spec,), xtol=1e-14, rtol=ROOT_RTOL)
+        root = _brent(lambda x: _h_real(x, spec), float(min(a, b)), float(max(a, b)))
         value = _h_real(root, spec)
         for _ in range(2):  # keep-best Newton polish
             hp = float(np.real(h_prime(complex(root), spec)))

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals
 
 from .edges import EdgeReport
 from .model import InfrastructureError, PolynomialSpec, SpectralClassification, classify_polynomial
@@ -205,7 +204,7 @@ def stability_spectrum(z: complex, delta: float, spec: PolynomialSpec,
         raise WignerSquareUnsupportedError("stability analysis excludes shifted Wigner squares")
     z = complex(z)
     M = m_matrix(_m_delta(z, delta, spec), spec, z, delta)
-    values = eigvals(stability_operator_matrix(M, spec))
+    values = np.linalg.eigvals(stability_operator_matrix(M, spec))
     return StabilityReport(beta=complex(values[np.argsort(np.abs(values))[0]]))
 
 

@@ -7,12 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quadspec
 import quadspec.cli as cli_module
+import quadspec.edges as edges_module
 from quadspec import compute_density, compute_edges, quantiles
 from quadspec.cli import EXIT_CRITERIA, EXIT_INFRA, EXIT_INPUT, EXIT_OK, compare_ks, main, spec_digest
 from quadspec.edges import InconsistentClassificationError
@@ -330,6 +330,21 @@ def test_analyze_solver_failure_is_infra(wsq_file, tmp_path, monkeypatch, capsys
     assert "1e-09" in capsys.readouterr().err or "z =" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "attr, value",
+    [("ROOT_MAXITER", 1), ("_h_real", lambda x, spec: float("nan"))],
+    ids=["iteration-cap", "nan-h"],
+)
+def test_analyze_root_step_failure_is_infra(attr, value, anti_file, tmp_path, monkeypatch, capsys):
+    # the Brent step stops without a root: a valid spec exits 3, never 2 or with a traceback
+    monkeypatch.setattr(edges_module, attr, value)
+    code = main(["analyze", "--spec", anti_file, "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == EXIT_INFRA
+    assert err.startswith("infrastructure error: no convergence")
+    assert "Traceback" not in err
+
+
 def test_verify_lemmas_pass_and_determinism(tmp_path, capsys):
     p1 = str(tmp_path / "a")
     p2 = str(tmp_path / "b")
@@ -548,7 +563,6 @@ def test_run_store_accumulates(anti_file, tmp_path):
     assert record["versions"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "quadspec": quadspec.__version__,
     }
 

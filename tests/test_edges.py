@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from quadspec import (
     classify_polynomial,
@@ -15,17 +16,30 @@ from quadspec import (
     validate_spec,
 )
 from quadspec.edges import (
+    ROOT_MAXITER,
+    ROOT_RTOL,
+    ROOT_XTOL,
     THRESHOLD_RTOL,
     InconsistentClassificationError,
     RealDirectionError,
+    _brent,
+    _h_real,
     _hard_edge_exponents,
     _scan_grid,
 )
-from quadspec.scalar import h_prime, h_value
+from quadspec.scalar import NoConvergenceError, h_prime, h_value
 
 ANTI_M = np.sqrt(np.sqrt(5.0) - 2.0)  # root of m^4 + 4 m^2 - 1 = 0
 ANTI_TAU = 3.3301906767855614  # -1/m_+ - gamma(m_+) at the quartic root
 RANK_RTOL = 1e-10
+FIXTURES = (
+    "wigner_square_spec",
+    "anticommutator_spec",
+    "shifted_square_spec",
+    "threshold_square_spec",
+    "complex_half_spec",
+    "complex_threshold_spec",
+)
 
 
 @dataclass(frozen=True)
@@ -294,8 +308,8 @@ def test_root_existence_complex_threshold(complex_direction):
     assert above.root_exists
 
 
-def test_root_existence_matches_scan():
-    # the analytic verdict and the sampled sign changes agree on random rank-one data
+def _random_rank_one_specs():
+    """60 seeded reducible specs with alpha < 0, half of them with a genuinely complex direction."""
     rng = np.random.default_rng(23)
     for _ in range(60):
         l = int(rng.integers(1, 5))
@@ -303,7 +317,21 @@ def test_root_existence_matches_scan():
             v = rng.standard_normal(l).astype(complex)
         else:
             v = rng.standard_normal(l) + 1j * rng.standard_normal(l)
-        spec = reducible_spec(-abs(rng.standard_normal()) - 0.1, abs(rng.standard_normal()), v)
+        yield reducible_spec(-abs(rng.standard_normal()) - 0.1, abs(rng.standard_normal()), v)
+
+
+def _random_hermitian_specs():
+    """200 seeded specs with a random complex Hermitian A, l = 2..4."""
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        l = int(rng.integers(2, 5))
+        g = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
+        yield validate_spec(l, 0.5 * (g + g.conj().T), rng.standard_normal(l), float(rng.standard_normal()))
+
+
+def test_root_existence_matches_scan():
+    # the analytic verdict and the sampled sign changes agree on random rank-one data
+    for spec in _random_rank_one_specs():
         verdict = root_existence_conditions(spec)
         found = _count_sign_changes(spec, poles(spec)[0], -1) > 0
         assert verdict.root_exists == found
@@ -311,14 +339,95 @@ def test_root_existence_matches_scan():
 
 
 def test_scan_sees_at_most_one_sign_change():
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        l = int(rng.integers(2, 5))
-        g = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
-        spec = validate_spec(l, 0.5 * (g + g.conj().T), rng.standard_normal(l), float(rng.standard_normal()))
+    for spec in _random_hermitian_specs():
         m_star_plus, m_star_minus = poles(spec)
         assert _count_sign_changes(spec, m_star_plus, -1) <= 1
         assert _count_sign_changes(spec, m_star_minus, +1) <= 1
+
+
+def _scipy_brentq(f, a, b):
+    return brentq(f, a, b, xtol=ROOT_XTOL, rtol=ROOT_RTOL, maxiter=ROOT_MAXITER)
+
+
+def _iterates(solve, f, a, b) -> list:
+    """Every x at which one root step evaluates f, then its root or its failure."""
+    xs = []
+
+    def traced(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        xs.append(solve(traced, a, b))
+    except (NoConvergenceError, RuntimeError):  # ours, and brentq's after maxiter steps
+        xs.append("no convergence")
+    return xs
+
+
+def _assert_brent_is_brentq(spec) -> int:
+    """Every sign change of h on both scan grids: the Brent step takes brentq's iterates bit for bit."""
+
+    def h(x):
+        return _h_real(x, spec)
+
+    brackets = 0
+    for side, boundary in zip((-1, +1), poles(spec)):
+        grid, values = _scan_grid(spec, boundary, side)
+        for i in np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]:
+            a, b = sorted((float(grid[i]), float(grid[i + 1])))
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # as in the edge scan
+                assert _iterates(_brent, h, a, b) == _iterates(_scipy_brentq, h, a, b)
+            brackets += 1
+    return brackets
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_brent_is_brentq_on_fixtures(name, request):
+    assert _assert_brent_is_brentq(request.getfixturevalue(name)) >= 1
+
+
+def test_brent_is_brentq_on_random_specs():
+    brackets = sum(_assert_brent_is_brentq(spec) for spec in _random_rank_one_specs())
+    brackets += sum(_assert_brent_is_brentq(spec) for spec in _random_hermitian_specs())
+    assert brackets >= 400  # each non-reducible spec has a root on both sides
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: (x - 0.1) ** 5,
+        lambda x: np.arctan(1e6 * (x - 0.2)),
+        lambda x: np.exp(x) - 2.0,
+        lambda x: np.floor(8.0 * x) - 3.5,
+        lambda x: (x - 0.3) ** 3 - 1e-3 * np.sin(40.0 * x),
+        lambda x: 1e-200 * (x - 0.3) ** 3,  # the extrapolation's denominator underflows to 0
+    ],
+    ids=["fifth-power", "arctan-step", "exp", "staircase", "wiggly-cubic", "underflow"],
+)
+def test_brent_is_brentq_on_hard_functions(f):
+    # flat, step-like, oscillating and tiny functions drive every branch, the iteration cap included
+    def g(x):
+        return float(f(x))
+
+    rng = np.random.default_rng(3)
+    for a, b in np.sort(rng.uniform(-1.5, 1.5, (40, 2)), axis=1).tolist():
+        if np.sign(g(a)) * np.sign(g(b)) < 0:
+            assert _iterates(_brent, g, a, b) == _iterates(_scipy_brentq, g, a, b)
+
+
+def test_brent_returns_a_root_end_at_once():
+    def f(x):
+        return x - 0.5
+
+    for a, b in ((0.5, 2.0), (-1.0, 0.5)):
+        assert _iterates(_brent, f, a, b) == [a, b, 0.5] == _iterates(_scipy_brentq, f, a, b)
+
+
+def test_brent_failures_raise_no_convergence():
+    with pytest.raises(NoConvergenceError):
+        _brent(lambda x: x - 0.5, 1.0, 2.0)  # no sign change
+    with pytest.raises(NoConvergenceError):
+        _brent(lambda x: float("nan") if x > 0.7 else x - 0.5, 0.0, 1.0)
 
 
 def test_edge_solver_consistency(wigner_square_spec, anticommutator_spec):

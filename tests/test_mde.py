@@ -260,7 +260,7 @@ _SLOPE_CASES = [f"slope-{side}-{kappa:g}" for side in ("right", "left") for kapp
 )
 def test_stability_beta_is_smallest_eigenvalue_at_solved_m(case, anticommutator_spec, anti_edges):
     # stability_spectrum solves for M itself; it must be the M of solve_m_delta, bit for bit,
-    # and its eigenvalue-only call must pick the beta of the full left-and-right eig
+    # and its eigenvalue-only numpy call must pick the beta of scipy's full left-and-right eig
     cases = {
         "delta-0": (anticommutator_spec, 0.7 + 0.05j, 0.0),
         "delta-0.5": (anticommutator_spec, 0.7 + 0.05j, 0.5),
